@@ -24,15 +24,12 @@ from .analytical import (
 )
 from .approx import (
     EpsilonConfig,
-    alpha_model_step,
-    eps_admissible_bound,
     eps_demand_supply,
-    eps_model_step,
     step_eps,
 )
 from .errors import PqsimError, ScenarioError, ValidationError
 from .link_models import LqmSimulation, LtmSimulation, lqm_demand_supply
-from .links import LinkParams, QueueSpec, derived_times, triangular_flow
+from .links import LinkParams, QueueSpec, triangular_flow
 from .network import TandemQueue, TandemSpec, TandemState, step_tandem
 from .point_queue import (
     Formulation,
@@ -41,12 +38,10 @@ from .point_queue import (
     PqVariant,
     discrete_demand_supply,
     step_pq,
-    step_vickrey,
     well_definedness_bound,
 )
 from .profiles import (
     Constant,
-    CumulativeProfile,
     PiecewiseConstant,
     Profile,
     SineFloor,
@@ -57,7 +52,6 @@ from .profiles import (
 from .scenario import (
     RunReport,
     Scenario,
-    compare_models,
     convergence_table,
     load_scenario,
     run_scenario,
@@ -70,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Constant",
-    "CumulativeProfile",
     "EpsilonConfig",
     "Formulation",
     "LinkParams",
@@ -95,14 +88,9 @@ __all__ = [
     "TrajectoryStats",
     "ValidationError",
     "VickreySolution",
-    "alpha_model_step",
-    "compare_models",
     "convergence_table",
-    "derived_times",
     "discrete_demand_supply",
-    "eps_admissible_bound",
     "eps_demand_supply",
-    "eps_model_step",
     "load_scenario",
     "lqm_demand_supply",
     "profile_from_dict",
@@ -117,7 +105,6 @@ __all__ = [
     "step_eps",
     "step_pq",
     "step_tandem",
-    "step_vickrey",
     "sup_distance",
     "triangular_flow",
     "vickrey_closed_form",

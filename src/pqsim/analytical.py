@@ -30,14 +30,19 @@ dynamics admit no exact fixed point at a positive rate; the value reported
 is the limit of the discrete fixed points (capacity - sigma*dt -> capacity,
 delta*dt -> 0) and is flagged ``limit_of_discrete``.  The relaxed models
 settle at eps-shifted values (capacity - eps*sigma, eps*delta) that
-converge linearly in eps to the exact ones.
+converge linearly in eps to the exact ones.  eps-PQM2 is the exception
+once eps * min(delta, sigma) > capacity/2: both its rates are then
+relaxation terms at the stationary state, which sits at capacity/2 with
+flux capacity/(2*eps).
 
 At a finite step dt the exact discrete models are the relaxed ones with
 eps = dt, so they stop where ``stationary_eps(variant, delta, sigma,
 capacity, dt)`` says.  With balanced rates that is an interval, not all of
 [0, capacity]: with r = delta*dt, PQM1 fixes [0, capacity], PQM2
 [r, capacity - r], PQM3 [0, capacity - r] and PQM4 [r, capacity], and one
-step moves a state outside the interval onto its nearer edge.
+step moves a state outside the interval onto its nearer edge.  PQM2 with
+r > capacity/2 is the exception: capacity/2 is its only fixed point, and
+the exact step makes other states alternate around it.
 """
 
 from __future__ import annotations
@@ -210,6 +215,10 @@ def stationary_eps(
         )
     model = variant.model if isinstance(variant, PqVariant) else variant
     flux = min(delta, sigma)
+    if model is PqModel.PQM2 and eps * flux > capacity / 2:
+        # Relaxed inflow (capacity - lam)/eps meets relaxed outflow lam/eps
+        # before either rate binds: the queue halves the storage.
+        return StationaryResult(capacity / 2, capacity / 2, capacity / (2 * eps))
     ceiling = capacity - eps * sigma  # relaxed full level
     floor = eps * delta  # relaxed empty level
     if delta > sigma:

@@ -19,7 +19,8 @@ With dt = eps the step volumes coincide exactly with the exact discrete
 models, so the relaxed family contains the exact one.  Admissibility:
 eps-PQM1/2 preserve [0, capacity] for any eps; eps-PQM3 needs
 eps <= capacity / max sigma and eps-PQM4 needs eps <= capacity / max
-delta; the discrete schemes additionally need dt <= eps.
+delta, the bound :func:`point_queue.well_definedness_bound` gives for dt;
+the discrete schemes additionally need dt <= eps.
 
 With unbounded storage, eps-PQM1/eps-PQM3 collapse to the relaxed
 bottleneck ("alpha model", alpha = 1/eps)
@@ -29,6 +30,8 @@ bottleneck ("alpha model", alpha = 1/eps)
 and eps-PQM2/eps-PQM4 collapse to the relaxed service model ("eps model")
 
     lam' = lam + dt * (delta - min(sigma, lam/eps)).
+
+Both are :func:`step_eps` with ``capacity=None``.
 """
 
 from __future__ import annotations
@@ -42,10 +45,7 @@ from .point_queue import _advance as point_queue_advance
 __all__ = [
     "EpsilonConfig",
     "eps_demand_supply",
-    "eps_admissible_bound",
     "step_eps",
-    "alpha_model_step",
-    "eps_model_step",
 ]
 
 
@@ -72,29 +72,6 @@ class EpsilonConfig:
             raise ValueError(
                 f"relaxed discrete models require dt <= epsilon (got dt={self.dt}, epsilon={self.epsilon})"
             )
-
-
-def eps_admissible_bound(
-    variant: PqVariant | PqModel,
-    delta_max: float,
-    sigma_max: float,
-    capacity: float | None,
-) -> float:
-    """Largest admissible relaxation time eps for a variant.
-
-    Mirrors the exact models' step-size bounds: eps-PQM1/2 admit any eps,
-    eps-PQM3 is limited by the service rate, eps-PQM4 by the feed rate.
-    """
-    model = variant.model if isinstance(variant, PqVariant) else variant
-    if delta_max < 0 or sigma_max < 0:
-        raise ValueError("rate bounds must be nonnegative")
-    if capacity is None:
-        return math.inf
-    if model is PqModel.PQM3:
-        return math.inf if sigma_max == 0 else capacity / sigma_max
-    if model is PqModel.PQM4:
-        return math.inf if delta_max == 0 else capacity / delta_max
-    return math.inf
 
 
 def eps_demand_supply(variant: PqVariant | PqModel, lam, delta, sigma, eps, capacity):
@@ -161,26 +138,3 @@ def step_eps(
     """Advance a relaxed point queue by one step of size cfg.dt."""
     return _step_with_volumes(variant, state, delta, sigma, cfg, capacity, clamp)[0]
 
-
-def alpha_model_step(lam, delta, sigma, eps, dt):
-    """Relaxed bottleneck update lam + dt * max(delta - sigma, -lam/eps).
-
-    Identical to :func:`step_eps` for eps-PQM1/eps-PQM3 with unbounded
-    storage.
-    """
-    if lam < 0:
-        raise ValueError(f"queue length must be nonnegative (got {lam})")
-    lam_next, _, _ = _eps_advance(PqModel.PQM1, lam, delta * dt, sigma * dt, None, dt / eps, clamp=True)
-    return lam_next
-
-
-def eps_model_step(lam, delta, sigma, eps, dt):
-    """Relaxed service update lam + dt * (delta - min(sigma, lam/eps)).
-
-    Identical to :func:`step_eps` for eps-PQM2/eps-PQM4 with unbounded
-    storage.
-    """
-    if lam < 0:
-        raise ValueError(f"queue length must be nonnegative (got {lam})")
-    lam_next, _, _ = _eps_advance(PqModel.PQM2, lam, delta * dt, sigma * dt, None, dt / eps, clamp=True)
-    return lam_next

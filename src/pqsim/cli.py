@@ -13,10 +13,10 @@ import sys
 from pathlib import Path
 
 from .analytical import stationary_eps, stationary_exact, vickrey_closed_form
-from .errors import ScenarioError, ValidationError
+from .errors import ValidationError
 from .point_queue import PqModel
 from .scenario import (
-    MODEL_NAMES,
+    MODELS,
     RunReport,
     Scenario,
     convergence_table,
@@ -134,8 +134,6 @@ def _cmd_stationary(args) -> int:
 
 def _cmd_tandem(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    if scenario.tandem is None:
-        raise ValidationError(f"{scenario.source}: tandem command needs a 'queues' section")
     report = run_scenario(scenario.with_overrides(model="tandem"), out_dir=args.out_dir)
     _print_report(report)
     return 0
@@ -164,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run several models on one scenario and compare")
     add_common(p)
-    p.add_argument("--models", required=True, help=f"comma-separated subset of: {', '.join(MODEL_NAMES)}")
+    runnable = ", ".join(name for name, spec in MODELS.items() if spec.run is not None)
+    p.add_argument("--models", required=True, help=f"comma-separated subset of: {runnable}")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("convergence", help="pairwise distances across a list of step sizes")
@@ -197,10 +196,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ScenarioError and ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

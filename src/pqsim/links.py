@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LinkParams", "QueueSpec", "triangular_flow", "derived_times"]
+__all__ = ["LinkParams", "QueueSpec", "triangular_flow"]
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,6 @@ class LinkParams:
     def capacity(self) -> float:
         """Total link capacity storage/T3 = N*U*K [veh/hr]."""
         return self.storage / self.traverse_time
-
-
-def derived_times(params: LinkParams) -> tuple[float, float, float]:
-    """Return (T1, T2, T3) for a link."""
-    return params.free_flow_time, params.wave_time, params.traverse_time
 
 
 def triangular_flow(params: LinkParams, density: float) -> float:

@@ -20,7 +20,8 @@ whether the service enters its supply:
 
 Unbounded capacity removes the supply limit entirely (inflow = feed); with
 it PQM1/PQM3 collapse to the classical Vickrey bottleneck recursion
-``lam' = max(0, lam + feed - service)``.  PQM3 with finite capacity is the
+``lam' = max(0, lam + feed - service)`` (:func:`step_pq` with
+``capacity=None``).  PQM3 with finite capacity is the
 storage/release recursion used for dam processes:
 ``lam' = min(feed + lam, capacity) - min(feed + lam, service)``.
 
@@ -50,7 +51,6 @@ __all__ = [
     "PqState",
     "discrete_demand_supply",
     "step_pq",
-    "step_vickrey",
     "well_definedness_bound",
 ]
 
@@ -202,18 +202,6 @@ def step_pq(
     step sizes.
     """
     return _step_with_volumes(variant, state, delta, sigma, dt, capacity, clamp)[0]
-
-
-def step_vickrey(lam, delta, sigma, dt):
-    """Vickrey bottleneck update: max(0, lam + (delta - sigma) * dt).
-
-    Exactly the unbounded-storage special case of PQM1 and PQM3 (both
-    collapse to the same recursion), evaluated through the same code path.
-    """
-    if lam < 0:
-        raise ValueError(f"queue length must be nonnegative (got {lam})")
-    lam_next, _, _ = _advance(PqModel.PQM1, lam, delta * dt, sigma * dt, None, clamp=True)
-    return lam_next
 
 
 def well_definedness_bound(

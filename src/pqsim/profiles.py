@@ -30,7 +30,6 @@ __all__ = [
     "Constant",
     "PiecewiseConstant",
     "SineFloor",
-    "CumulativeProfile",
     "sine_floor",
     "profile_from_dict",
     "profile_to_dict",
@@ -190,16 +189,6 @@ def sine_floor(amplitude: float, floor: float) -> Profile:
     if amplitude <= floor:
         return Constant(floor)
     return SineFloor(amplitude, floor)
-
-
-@dataclass(frozen=True)
-class CumulativeProfile:
-    """Exact running volume S(t) of a base rate profile."""
-
-    base: Profile
-
-    def value_at(self, t: float) -> float:
-        return self.base.cumulative(t)
 
 
 def profile_from_dict(spec: dict) -> Profile:

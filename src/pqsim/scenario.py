@@ -19,6 +19,8 @@ Model names: ``pqm1`` .. ``pqm4`` (exact point queues), ``eps-pqm1`` ..
 records ordered origin to destination).  Optional fields: ``formulation``
 ("A" queue-length state, "B" cumulative-flow state), ``epsilon``,
 ``unsafe`` (run despite violated admissibility bounds), ``output``.
+``MODELS`` is the one table of models: per name, the fields it needs, its
+admissibility check and its runner.
 
 Every run validates the relevant admissibility bound first and reports the
 violated bound by name; ``unsafe`` skips only those bound checks, never
@@ -29,12 +31,15 @@ byte-identical CSV files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import approx, point_queue
-from .approx import EpsilonConfig, eps_admissible_bound
+from .approx import EpsilonConfig
 from .errors import ScenarioError, ValidationError
 from .link_models import LqmSimulation, LtmSimulation
 from .links import LinkParams, QueueSpec
@@ -50,14 +55,8 @@ __all__ = [
     "scenario_from_dict",
     "simulate_model",
     "run_scenario",
-    "compare_models",
     "convergence_table",
 ]
-
-POINT_MODELS = ("pqm1", "pqm2", "pqm3", "pqm4")
-EPS_MODELS = ("eps-pqm1", "eps-pqm2", "eps-pqm3", "eps-pqm4")
-LINK_MODELS = ("ltm", "lqm")
-MODEL_NAMES = POINT_MODELS + EPS_MODELS + LINK_MODELS + ("vickrey", "tandem")
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,18 @@ class Scenario:
         return replace(self, **kwargs)
 
 
+def _reject_non_finite(value, source: str, path: str = "") -> None:
+    """Raise on any NaN or infinity in a parsed document, naming its field path."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(f"{source}: field '{path}' must be a finite number (got {value!r})")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, source, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, source, f"{path}[{i}]")
+
+
 def _field(doc: dict, name: str, kind, source: str, required: bool = True, default=None):
     if name not in doc:
         if required:
@@ -98,25 +109,17 @@ def _field(doc: dict, name: str, kind, source: str, required: bool = True, defau
 
 
 def _queue_spec(doc: dict, source: str) -> QueueSpec:
-    cap = doc.get("capacity")
-    if cap is not None and (not isinstance(cap, (int, float)) or isinstance(cap, bool)):
-        raise ScenarioError(f"{source}: 'capacity' must be a number or null (got {cap!r})")
+    cap = None if doc.get("capacity") is None else _field(doc, "capacity", float, source)
     initial = _field(doc, "initial", float, source, required=False, default=0.0)
     try:
-        return QueueSpec(capacity=None if cap is None else float(cap), initial=initial)
+        return QueueSpec(capacity=cap, initial=initial)
     except ValueError as exc:
         raise ScenarioError(f"{source}: {exc}") from None
 
 
 def _link_params(doc: dict, source: str) -> LinkParams:
     try:
-        return LinkParams(
-            length=_field(doc, "length", float, source),
-            lanes=_field(doc, "lanes", float, source),
-            free_flow_speed=_field(doc, "free_flow_speed", float, source),
-            wave_speed=_field(doc, "wave_speed", float, source),
-            jam_density=_field(doc, "jam_density", float, source),
-        )
+        return LinkParams(**{f.name: _field(doc, f.name, float, source) for f in fields(LinkParams)})
     except ValueError as exc:
         raise ScenarioError(f"{source}: link: {exc}") from None
 
@@ -132,6 +135,7 @@ def _pq_model(name: str, source: str) -> PqModel:
 def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{source}: scenario must be a JSON object")
+    _reject_non_finite(doc, source)
     model = _field(doc, "model", str, source).lower()
     if model not in MODEL_NAMES:
         raise ScenarioError(f"{source}: unknown model {model!r}; valid: {', '.join(MODEL_NAMES)}")
@@ -218,91 +222,70 @@ def _step_count(scenario: Scenario) -> int:
     return n
 
 
-def _require_queue(scenario: Scenario, model_name: str) -> QueueSpec:
-    if scenario.queue is None:
-        raise ValidationError(f"{scenario.source}: model {model_name!r} needs a 'queue' section")
-    return scenario.queue
+# How a missing-field message words each Scenario field a model can need.
+_NEEDS = {
+    "queue": "a 'queue' section",
+    "epsilon": "an 'epsilon' field",
+    "link": "a 'link' section",
+    "tandem": "a 'queues' section",
+}
 
 
-def validate_model(scenario: Scenario, model_name: str) -> None:
-    """Check the admissibility bound for one model; ``unsafe`` skips bounds only."""
-    name = model_name.lower()
-    delta_max = scenario.demand.max_rate
-    sigma_max = scenario.supply.max_rate
-    if name in POINT_MODELS:
-        queue = _require_queue(scenario, name)
-        if scenario.unsafe:
-            return
-        model = _pq_model(name, scenario.source)
-        bound = well_definedness_bound(model, delta_max, sigma_max, queue.capacity)
-        if scenario.dt > bound:
-            limiter = "capacity/sigma_max" if model is PqModel.PQM3 else "capacity/delta_max"
-            raise ValidationError(
-                f"{scenario.source}: {model.label}-D requires dt <= {limiter} = {bound:.4g} hr "
-                f"(got dt = {scenario.dt:g})"
-            )
-    elif name in EPS_MODELS:
-        queue = _require_queue(scenario, name)
-        if scenario.epsilon is None:
-            raise ValidationError(f"{scenario.source}: model {name!r} needs an 'epsilon' field")
-        if scenario.unsafe:
-            return
-        if scenario.epsilon <= 0:
-            raise ValidationError(f"{scenario.source}: epsilon must be positive (got {scenario.epsilon})")
-        if scenario.dt > scenario.epsilon:
-            raise ValidationError(
-                f"{scenario.source}: relaxed models require dt <= epsilon = {scenario.epsilon:g} hr "
-                f"(got dt = {scenario.dt:g})"
-            )
-        model = _pq_model(name, scenario.source)
-        bound = eps_admissible_bound(model, delta_max, sigma_max, queue.capacity)
-        if scenario.epsilon > bound:
-            limiter = "capacity/sigma_max" if model is PqModel.PQM3 else "capacity/delta_max"
-            raise ValidationError(
-                f"{scenario.source}: eps-{model.label} requires epsilon <= {limiter} = {bound:.4g} hr "
-                f"(got epsilon = {scenario.epsilon:g})"
-            )
-    elif name == "vickrey":
-        return
-    elif name in LINK_MODELS:
-        if scenario.link is None:
-            raise ValidationError(f"{scenario.source}: model {name!r} needs a 'link' section")
-        if scenario.unsafe:
-            return
-        bound = min(scenario.link.free_flow_time, scenario.link.wave_time)
-        if scenario.dt > bound:
-            raise ValidationError(
-                f"{scenario.source}: {name.upper()} requires dt <= min(T1, T2) = {bound:.4g} hr "
-                f"(got dt = {scenario.dt:g})"
-            )
-    elif name == "tandem":
-        if scenario.tandem is None:
-            raise ValidationError(f"{scenario.source}: model 'tandem' needs a 'queues' section")
-        if scenario.unsafe:
-            return
-        for i, member in enumerate(scenario.tandem.queues):
-            bound = well_definedness_bound(member.model, delta_max, sigma_max, member.spec.capacity)
-            if scenario.dt > bound:
-                limiter = "capacity/sigma_max" if member.model is PqModel.PQM3 else "capacity/delta_max"
-                raise ValidationError(
-                    f"{scenario.source}: queues[{i}] ({member.model.label}-D) requires "
-                    f"dt <= {limiter} = {bound:.4g} hr (got dt = {scenario.dt:g})"
-                )
-    else:
-        raise ValidationError(f"{scenario.source}: unknown model {model_name!r}")
+def _check_queue_bound(
+    scenario: Scenario, who: str, var: str, value: float, model: PqModel, capacity: float | None
+) -> None:
+    """Raise unless ``value`` (dt, or eps for a relaxed model) is within a point queue's bound."""
+    bound = well_definedness_bound(model, scenario.demand.max_rate, scenario.supply.max_rate, capacity)
+    if value > bound:
+        limiter = "capacity/sigma_max" if model is PqModel.PQM3 else "capacity/delta_max"
+        raise ValidationError(
+            f"{scenario.source}: {who} requires {var} <= {limiter} = {bound:.4g} hr (got {var} = {value:g})"
+        )
 
 
-def _run_point(scenario: Scenario, name: str, exact: bool) -> Trajectory:
-    queue = _require_queue(scenario, name)
-    relaxed = name in EPS_MODELS
-    model = PqModel.PQM1 if name == "vickrey" else _pq_model(name, scenario.source)
-    variant = PqVariant(model, scenario.formulation)
-    capacity = None if name == "vickrey" else queue.capacity
+def _check_point(scenario: Scenario, name: str) -> None:
+    model = _pq_model(name, scenario.source)
+    _check_queue_bound(scenario, f"{model.label}-D", "dt", scenario.dt, model, scenario.queue.capacity)
+
+
+def _check_eps(scenario: Scenario, name: str) -> None:
+    eps = scenario.epsilon
+    if eps <= 0:
+        raise ValidationError(f"{scenario.source}: epsilon must be positive (got {eps})")
+    if scenario.dt > eps:
+        raise ValidationError(
+            f"{scenario.source}: relaxed models require dt <= epsilon = {eps:g} hr (got dt = {scenario.dt:g})"
+        )
+    model = _pq_model(name, scenario.source)
+    _check_queue_bound(scenario, f"eps-{model.label}", "epsilon", eps, model, scenario.queue.capacity)
+
+
+def _check_link(scenario: Scenario, name: str) -> None:
+    bound = min(scenario.link.free_flow_time, scenario.link.wave_time)
+    if scenario.dt > bound:
+        raise ValidationError(
+            f"{scenario.source}: {name.upper()} requires dt <= min(T1, T2) = {bound:.4g} hr (got dt = {scenario.dt:g})"
+        )
+
+
+def _check_tandem(scenario: Scenario, name: str) -> None:
+    for i, member in enumerate(scenario.tandem.queues):
+        who = f"queues[{i}] ({member.model.label}-D)"
+        _check_queue_bound(scenario, who, "dt", scenario.dt, member.model, member.spec.capacity)
+
+
+def _run_point(
+    scenario: Scenario, name: str, exact: bool, relaxed: bool = False, model: PqModel | None = None
+) -> Trajectory:
+    if exact and relaxed:
+        raise ValidationError("exact arithmetic is supported for the exact point models only")
+    queue = scenario.queue
+    variant = PqVariant(model or _pq_model(name, scenario.source), scenario.formulation)
     n = _step_count(scenario)
     dt = scenario.dt
     clamp = not scenario.unsafe
     conv = Fraction if exact else float
-    cap = capacity if capacity is None else conv(capacity)
+    cap = queue.capacity if queue.capacity is None else conv(queue.capacity)
     state = PqState.initial(conv(queue.initial))
     if relaxed:
         cfg = EpsilonConfig(scenario.epsilon, dt, unsafe=scenario.unsafe)
@@ -323,7 +306,14 @@ def _run_point(scenario: Scenario, name: str, exact: bool) -> Trajectory:
     return Trajectory(name, dt, times, queues, arrs, deps, fin, fout)
 
 
-def _run_link(scenario: Scenario, name: str) -> Trajectory:
+def _run_vickrey(scenario: Scenario, name: str, exact: bool) -> Trajectory:
+    """PQM1 with unbounded storage; a 'queue' section only sets the initial content."""
+    initial = 0.0 if scenario.queue is None else scenario.queue.initial
+    return _run_point(replace(scenario, queue=QueueSpec.unbounded(initial)), name, exact, model=PqModel.PQM1)
+
+
+def _run_link(scenario: Scenario, name: str, exact: bool) -> Trajectory:
+    """Link models run in floats; ``exact`` does not apply to them."""
     n = _step_count(scenario)
     dt = scenario.dt
     sim_cls = LtmSimulation if name == "ltm" else LqmSimulation
@@ -383,6 +373,47 @@ def _run_tandem(scenario: Scenario) -> tuple[list[Trajectory], float]:
     return trajectories, worst_residual
 
 
+class ModelSpec(NamedTuple):
+    """One row of the model table.
+
+    ``needs`` names the Scenario fields the model cannot run without,
+    ``check(scenario, name)`` raises when its admissibility bound is
+    violated (``unsafe`` skips it), and ``run(scenario, name, exact)``
+    returns its trajectory.  The tandem has no ``run``: it yields one
+    trajectory per queue, so it runs only as a whole scenario.
+    """
+
+    needs: tuple[str, ...]
+    check: Callable[[Scenario, str], None] | None
+    run: Callable[[Scenario, str, bool], Trajectory] | None
+
+
+MODELS: dict[str, ModelSpec] = {
+    **{m.value: ModelSpec(("queue",), _check_point, _run_point) for m in PqModel},
+    **{
+        f"eps-{m.value}": ModelSpec(("queue", "epsilon"), _check_eps, partial(_run_point, relaxed=True))
+        for m in PqModel
+    },
+    **{name: ModelSpec(("link",), _check_link, _run_link) for name in ("ltm", "lqm")},
+    "vickrey": ModelSpec((), None, _run_vickrey),
+    "tandem": ModelSpec(("tandem",), _check_tandem, None),
+}
+MODEL_NAMES = tuple(MODELS)
+
+
+def validate_model(scenario: Scenario, model_name: str) -> None:
+    """Check the fields a model needs and, unless ``unsafe``, its admissibility bound."""
+    name = model_name.lower()
+    spec = MODELS.get(name)
+    if spec is None:
+        raise ValidationError(f"{scenario.source}: unknown model {model_name!r}")
+    for need in spec.needs:
+        if getattr(scenario, need) is None:
+            raise ValidationError(f"{scenario.source}: model {name!r} needs {_NEEDS[need]}")
+    if spec.check is not None and not scenario.unsafe:
+        spec.check(scenario, name)
+
+
 def simulate_model(scenario: Scenario, model_name: str | None = None, exact: bool = False) -> Trajectory:
     """Validate and run one model of a scenario, returning its trajectory.
 
@@ -392,15 +423,12 @@ def simulate_model(scenario: Scenario, model_name: str | None = None, exact: boo
     """
     name = (model_name or scenario.model).lower()
     validate_model(scenario, name)
-    if name in POINT_MODELS or name in EPS_MODELS or name == "vickrey":
-        if exact and name in EPS_MODELS:
-            raise ValidationError("exact arithmetic is supported for the exact point models only")
-        if name == "vickrey" and scenario.queue is None:
-            scenario = scenario.with_overrides(queue=QueueSpec.unbounded())
-        return _run_point(scenario, name, exact)
-    if name in LINK_MODELS:
-        return _run_link(scenario, name)
-    raise ValidationError(f"simulate_model cannot run {name!r}; use run_scenario for tandems")
+    run = MODELS[name].run
+    if run is None:
+        raise ValidationError(
+            f"{scenario.source}: model {name!r} yields one trajectory per queue; use the 'pqsim {name}' subcommand"
+        )
+    return run(scenario, name, exact)
 
 
 @dataclass
@@ -428,14 +456,6 @@ class RunReport:
         for key, value in self.metadata.items():
             lines.append(f"{key}: {value}")
         return lines
-
-
-def _write_csvs(report: RunReport, out_dir: str | Path | None) -> None:
-    if out_dir is None:
-        return
-    out = Path(out_dir)
-    for label, traj in report.trajectories.items():
-        report.csv_paths[label] = traj.write_csv(out / f"{label.replace('/', '_')}.csv")
 
 
 def run_scenario(
@@ -466,35 +486,24 @@ def run_scenario(
                 "mixed_variant_tandem": scenario.tandem.mixed_models,
             },
         )
-        _write_csvs(report, out_dir)
-        return report
-    names = [m.lower() for m in (models or [scenario.model])]
-    trajectories = {name: simulate_model(scenario, name, exact=exact) for name in names}
-    distances = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            distances[(a, b)] = sup_distance(trajectories[a], trajectories[b])
-    report = RunReport(
-        model=scenario.model,
-        dt=scenario.dt,
-        trajectories=trajectories,
-        stats={name: trajectories[name].stats() for name in names},
-        distances=distances,
-    )
-    _write_csvs(report, out_dir)
+    else:
+        names = [m.lower() for m in (models or [scenario.model])]
+        trajectories = {name: simulate_model(scenario, name, exact=exact) for name in names}
+        distances = {}
+        for i, a in enumerate(names):
+            for b in names[i + 1 :]:
+                distances[(a, b)] = sup_distance(trajectories[a], trajectories[b])
+        report = RunReport(
+            model=scenario.model,
+            dt=scenario.dt,
+            trajectories=trajectories,
+            stats={name: trajectories[name].stats() for name in names},
+            distances=distances,
+        )
+    if out_dir is not None:
+        for label, traj in report.trajectories.items():
+            report.csv_paths[label] = traj.write_csv(Path(out_dir) / f"{label.replace('/', '_')}.csv")
     return report
-
-
-def compare_models(
-    scenario: Scenario | str | Path,
-    models: list[str],
-    dt: float | None = None,
-    out_dir: str | Path | None = None,
-) -> RunReport:
-    """Run several models on one scenario's profiles and compare them."""
-    if not isinstance(scenario, Scenario):
-        scenario = load_scenario(scenario)
-    return run_scenario(scenario.with_overrides(dt=dt), out_dir=out_dir, models=models)
 
 
 def convergence_table(
@@ -522,21 +531,11 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "horizon": scenario.horizon,
     }
     if scenario.queue is not None:
-        doc["queue"] = {"capacity": scenario.queue.capacity, "initial": scenario.queue.initial}
+        doc["queue"] = asdict(scenario.queue)
     if scenario.link is not None:
-        doc["link"] = {
-            "length": scenario.link.length,
-            "lanes": scenario.link.lanes,
-            "free_flow_speed": scenario.link.free_flow_speed,
-            "wave_speed": scenario.link.wave_speed,
-            "jam_density": scenario.link.jam_density,
-            "initial": scenario.link_initial,
-        }
+        doc["link"] = {**asdict(scenario.link), "initial": scenario.link_initial}
     if scenario.tandem is not None:
-        doc["queues"] = [
-            {"capacity": q.spec.capacity, "initial": q.spec.initial, "model": q.model.value}
-            for q in scenario.tandem.queues
-        ]
+        doc["queues"] = [{**asdict(q.spec), "model": q.model.value} for q in scenario.tandem.queues]
     if scenario.epsilon is not None:
         doc["epsilon"] = scenario.epsilon
     if scenario.formulation is not Formulation.QUEUE:

@@ -91,10 +91,6 @@ class Trajectory:
             min_queue_after_peak=min(tail),
         )
 
-    def queue_at_or_after(self, t0: float) -> list[float]:
-        """Queue samples on grid times >= t0."""
-        return [q for t, q in zip(self.times, self.queue) if t >= t0]
-
     def write_csv(self, path: str | Path) -> Path:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -48,7 +48,7 @@ def rush(model="pqm1", **overrides):
 
 
 def min_at_or_after(traj, t0):
-    return min(traj.queue_at_or_after(t0))
+    return min(q for t, q in zip(traj.times, traj.queue) if t >= t0)
 
 
 def report(criterion, text):

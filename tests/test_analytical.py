@@ -7,14 +7,18 @@ import pytest
 
 from pqsim import (
     Constant,
+    EpsilonConfig,
     PiecewiseConstant,
     PqModel,
+    PqState,
+    PqVariant,
     ValidationError,
     queueing_time,
     sine_floor,
     stationary_eps,
     stationary_exact,
-    step_vickrey,
+    step_eps,
+    step_pq,
     vickrey_closed_form,
 )
 
@@ -213,6 +217,28 @@ class TestStationaryRelaxed:
             r = stationary_eps(model, rate, rate, cap, eps)
             assert (r.queue_lo, r.queue_hi) == pytest.approx((lo, hi))
 
+    @pytest.mark.parametrize(
+        "delta, sigma, eps",
+        [(2000, 1200, 0.02), (1000, 1200, 0.02), (1200, 1200, 0.02), (1500, 1000, 0.12), (1000, 1500, 0.12),
+         (1200, 1200, 0.1)],
+    )
+    def test_matches_long_relaxed_runs(self, delta, sigma, eps):
+        """A 3-hour step_eps run from empty and from full ends on the reported state and flux.
+
+        The last three cases have eps * min(delta, sigma) > capacity/2, where
+        eps-PQM2 settles at capacity/2 with flux capacity/(2 eps).
+        """
+        cap, dt = 200.0, eps / 10
+        cfg = EpsilonConfig(eps, dt)
+        for model in ALL_MODELS:
+            result = stationary_eps(model, delta, sigma, cap, eps)
+            for start in (0.0, cap):
+                state = PqState.initial(start)
+                for _ in range(round(3.0 / dt)):
+                    prev, state = state, step_eps(PqVariant(model), state, delta, sigma, cfg, cap)
+                assert result.queue_lo - 1e-6 <= state.queue <= result.queue_hi + 1e-6, (model, start)
+                assert (state.departures - prev.departures) / dt == pytest.approx(result.flux), (model, start)
+
     def test_relaxation_bound_enforced(self):
         with pytest.raises(ValidationError, match="capacity/max"):
             stationary_eps(PqModel.PQM2, 2000, 1200, 200.0, 0.2)
@@ -235,9 +261,10 @@ class TestClosedFormVsVickreyStepper:
         dt = 0.001
         n = round(2.0 / dt)
         sol = vickrey_closed_form(demand, supply, dt, 2.0)
-        lam = 0.0
+        vickrey = PqVariant(PqModel.PQM1)  # with unbounded storage
+        state = PqState.initial(0.0)
         worst = 0.0
         for i in range(n):
-            worst = max(worst, abs(lam - sol.queue[i]))
-            lam = step_vickrey(lam, demand.rate_at(i * dt), supply.rate_at(i * dt), dt)
+            worst = max(worst, abs(state.queue - sol.queue[i]))
+            state = step_pq(vickrey, state, demand.rate_at(i * dt), supply.rate_at(i * dt), dt, None)
         assert worst <= (demand.max_rate + supply.rate) * dt

@@ -13,12 +13,10 @@ from pqsim import (
     PqModel,
     PqState,
     PqVariant,
-    alpha_model_step,
-    eps_admissible_bound,
     eps_demand_supply,
-    eps_model_step,
     step_eps,
     step_pq,
+    well_definedness_bound,
 )
 
 ALL_MODELS = list(PqModel)
@@ -89,47 +87,51 @@ class TestStepExamples:
         assert series[-1] == pytest.approx(1.0, abs=1e-9)
 
 
+def unbounded_step(model, lam, delta, sigma, eps, dt):
+    """One relaxed step with unbounded storage (the alpha and eps models)."""
+    return step_eps(PqVariant(model), PqState.initial(lam), delta, sigma, EpsilonConfig(eps, dt), None).queue
+
+
 class TestUnboundedSpecialCases:
     def test_alpha_model_hand_values(self):
         """Drift regime and relaxation regime of max(delta - sigma, -lam/eps)."""
-        assert alpha_model_step(13.0, 0, 1200, 0.001, 0.0001) == pytest.approx(12.88)
-        assert alpha_model_step(0.05, 0, 1200, 0.001, 0.0001) == pytest.approx(0.045)
-        assert alpha_model_step(0.0, 2000, 1200, 0.001, 0.0001) == pytest.approx(0.08)
+        assert unbounded_step(PqModel.PQM1, 13.0, 0, 1200, 0.001, 0.0001) == pytest.approx(12.88)
+        assert unbounded_step(PqModel.PQM1, 0.05, 0, 1200, 0.001, 0.0001) == pytest.approx(0.045)
+        assert unbounded_step(PqModel.PQM1, 0.0, 2000, 1200, 0.001, 0.0001) == pytest.approx(0.08)
 
     def test_eps_model_hand_values(self):
-        assert eps_model_step(2.0, 1000, 1200, 0.001, 0.0001) == pytest.approx(1.98)
-        assert eps_model_step(0.0, 1000, 1200, 0.001, 0.0001) == pytest.approx(0.1)
+        assert unbounded_step(PqModel.PQM2, 2.0, 1000, 1200, 0.001, 0.0001) == pytest.approx(1.98)
+        assert unbounded_step(PqModel.PQM2, 0.0, 1000, 1200, 0.001, 0.0001) == pytest.approx(0.1)
 
     def test_eps_model_fixed_point_is_eps_delta(self):
         lam = 0.0
         for _ in range(3000):
-            lam = eps_model_step(lam, 1000, 1200, 0.001, 0.0001)
+            lam = unbounded_step(PqModel.PQM2, lam, 1000, 1200, 0.001, 0.0001)
         assert lam == pytest.approx(1.0, abs=1e-9)
 
     def test_alpha_equals_unbounded_pqm1_pqm3_exactly(self):
-        """Same recursion as step_eps with unbounded storage (exact arithmetic)."""
+        """eps-PQM1/3 with unbounded storage: lam + dt * max(delta - sigma, -lam/eps)."""
         rng = random.Random(17)
-        eps, dt = Fraction(1, 1000), Fraction(1, 10000)
-        cfg = EpsilonConfig(eps, dt)
+        eps = Fraction(1, 1000)
         for _ in range(100):
             lam = Fraction(rng.uniform(0, 30))
             delta, sigma = Fraction(rng.uniform(0, 3000)), Fraction(rng.uniform(0, 3000))
-            expected = alpha_model_step(lam, delta, sigma, eps, dt)
+            dt = eps * Fraction(rng.uniform(0.05, 0.95))
+            expected = lam + dt * max(delta - sigma, -lam / eps)
             for model in (PqModel.PQM1, PqModel.PQM3):
-                state = step_eps(PqVariant(model), PqState.initial(lam), delta, sigma, cfg, None)
-                assert state.queue == expected
+                assert unbounded_step(model, lam, delta, sigma, eps, dt) == expected
 
     def test_eps_model_equals_unbounded_pqm2_pqm4_exactly(self):
+        """eps-PQM2/4 with unbounded storage: lam + dt * (delta - min(sigma, lam/eps))."""
         rng = random.Random(19)
-        eps, dt = Fraction(1, 1000), Fraction(1, 10000)
-        cfg = EpsilonConfig(eps, dt)
+        eps = Fraction(1, 1000)
         for _ in range(100):
             lam = Fraction(rng.uniform(0, 30))
             delta, sigma = Fraction(rng.uniform(0, 3000)), Fraction(rng.uniform(0, 3000))
-            expected = eps_model_step(lam, delta, sigma, eps, dt)
+            dt = eps * Fraction(rng.uniform(0.05, 0.95))
+            expected = lam + dt * (delta - min(sigma, lam / eps))
             for model in (PqModel.PQM2, PqModel.PQM4):
-                state = step_eps(PqVariant(model), PqState.initial(lam), delta, sigma, cfg, None)
-                assert state.queue == expected
+                assert unbounded_step(model, lam, delta, sigma, eps, dt) == expected
 
 
 class TestCollapseAtDtEqualsEps:
@@ -170,18 +172,19 @@ class TestConvergenceInEps:
 
 class TestWellDefinedness:
     def test_bounds_mirror_exact_models(self):
-        assert eps_admissible_bound(PqModel.PQM1, 2000, 1200, 200.0) == math.inf
-        assert eps_admissible_bound(PqModel.PQM2, 2000, 1200, 200.0) == math.inf
-        assert eps_admissible_bound(PqModel.PQM3, 2000, 1200, 200.0) == pytest.approx(1 / 6)
-        assert eps_admissible_bound(PqModel.PQM4, 2000, 1200, 200.0) == pytest.approx(0.1)
-        assert eps_admissible_bound(PqModel.PQM3, 2000, 1200, None) == math.inf
+        """The eps bound is the exact models' dt bound."""
+        assert well_definedness_bound(PqModel.PQM1, 2000, 1200, 200.0) == math.inf
+        assert well_definedness_bound(PqModel.PQM2, 2000, 1200, 200.0) == math.inf
+        assert well_definedness_bound(PqModel.PQM3, 2000, 1200, 200.0) == pytest.approx(1 / 6)
+        assert well_definedness_bound(PqModel.PQM4, 2000, 1200, 200.0) == pytest.approx(0.1)
+        assert well_definedness_bound(PqModel.PQM3, 2000, 1200, None) == math.inf
 
     def test_admissible_eps_keeps_range(self):
         rng = random.Random(37)
         for model in ALL_MODELS:
             for _ in range(80):
                 cap = rng.uniform(20, 400)
-                eps = rng.uniform(1e-4, eps_admissible_bound(model, 3000, 3000, cap))
+                eps = rng.uniform(1e-4, well_definedness_bound(model, 3000, 3000, cap))
                 eps = min(eps, 0.1)
                 cfg = EpsilonConfig(eps, eps * rng.uniform(0.1, 1.0))
                 rates = [(rng.uniform(0, 3000), rng.uniform(0, 3000)) for _ in range(25)]

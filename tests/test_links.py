@@ -2,7 +2,7 @@
 
 import pytest
 
-from pqsim import LinkParams, QueueSpec, derived_times, triangular_flow
+from pqsim import LinkParams, QueueSpec, triangular_flow
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
 
@@ -39,29 +39,29 @@ class TestTriangularFlow:
 class TestDerivedTimes:
     def test_standard_link(self):
         """L=1, V=60, W=20: T1=1/60, T2=1/20, T3=1/15 (U=15)."""
-        t1, t2, t3 = derived_times(STANDARD)
+        t1, t2, t3 = STANDARD.free_flow_time, STANDARD.wave_time, STANDARD.traverse_time
         assert t1 == pytest.approx(1 / 60, rel=1e-15)
         assert t2 == pytest.approx(1 / 20, rel=1e-15)
         assert t3 == pytest.approx(1 / 15, rel=1e-15)
 
     def test_symmetric_speeds(self):
         p = LinkParams(1, 1, 30, 30, 150)
-        t1, t2, t3 = derived_times(p)
+        t1, t2, t3 = p.free_flow_time, p.wave_time, p.traverse_time
         assert t1 == t2 == pytest.approx(1 / 30)
         assert t3 == pytest.approx(1 / 15)
 
     def test_sum_identity_exact(self):
         """T3 - (T1 + T2) == 0 exactly (1/U = 1/V + 1/W by construction)."""
         for p in (STANDARD, LinkParams(0.37, 2.5, 55.0, 17.3, 211.0)):
-            t1, t2, t3 = derived_times(p)
+            t1, t2, t3 = p.free_flow_time, p.wave_time, p.traverse_time
             assert t3 - (t1 + t2) == 0.0
 
     def test_time_ordering(self):
         """T1 < T2 iff V > W; T3 exceeds both always."""
-        t1, t2, t3 = derived_times(STANDARD)
+        t1, t2, t3 = STANDARD.free_flow_time, STANDARD.wave_time, STANDARD.traverse_time
         assert t1 < t2 < t3
         slow_wave = LinkParams(1, 1, 20, 60, 150)
-        u1, u2, u3 = derived_times(slow_wave)
+        u1, u2, u3 = slow_wave.free_flow_time, slow_wave.wave_time, slow_wave.traverse_time
         assert u2 < u1 < u3
 
     def test_total_capacity_identity(self):

@@ -13,7 +13,6 @@ from pqsim import (
     PqVariant,
     discrete_demand_supply,
     step_pq,
-    step_vickrey,
     well_definedness_bound,
 )
 
@@ -78,31 +77,33 @@ class TestStep:
 
 
 class TestVickreyStep:
+    """Vickrey is PQM1/PQM3 with unbounded storage (``capacity=None``)."""
+
+    @staticmethod
+    def vickrey(model, lam, delta, sigma, dt):
+        return step_pq(PqVariant(model), PqState.initial(lam), delta, sigma, dt, None).queue
+
     def test_undersaturated_stays_empty(self):
-        assert step_vickrey(0.0, 1000, 1200, 0.01) == 0.0
+        assert self.vickrey(PqModel.PQM1, 0.0, 1000, 1200, 0.01) == 0.0
 
     def test_growth(self):
         """5 + (2000 - 1200) * 0.01 = 13."""
-        assert step_vickrey(5.0, 2000, 1200, 0.01) == 13.0
+        assert self.vickrey(PqModel.PQM1, 5.0, 2000, 1200, 0.01) == 13.0
 
     def test_drain_to_floor(self):
         """max(0, 5 - 12) = 0."""
-        assert step_vickrey(5.0, 0, 1200, 0.01) == 0.0
+        assert self.vickrey(PqModel.PQM1, 5.0, 0, 1200, 0.01) == 0.0
 
     def test_matches_unbounded_pqm1_and_pqm3(self):
-        """With unbounded storage PQM1 and PQM3 collapse to the same recursion."""
+        """Both collapse to the recursion max(0, lam + (delta - sigma) * dt), exactly."""
         rng = random.Random(11)
         for _ in range(200):
-            lam = rng.uniform(0, 50)
-            delta, sigma, dt = rng.uniform(0, 3000), rng.uniform(0, 3000), rng.uniform(1e-4, 0.1)
-            expected = step_vickrey(lam, delta, sigma, dt)
+            lam = Fraction(rng.uniform(0, 50))
+            delta, sigma = Fraction(rng.uniform(0, 3000)), Fraction(rng.uniform(0, 3000))
+            dt = Fraction(rng.uniform(1e-4, 0.1))
+            expected = max(0, lam + (delta - sigma) * dt)
             for model in (PqModel.PQM1, PqModel.PQM3):
-                state = step_pq(PqVariant(model), PqState.initial(lam), delta, sigma, dt, None)
-                assert state.queue == expected
-
-    def test_negative_queue_rejected(self):
-        with pytest.raises(ValueError):
-            step_vickrey(-1.0, 0, 0, 0.01)
+                assert self.vickrey(model, lam, delta, sigma, dt) == expected
 
 
 class TestWellDefinednessBound:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pqsim import Constant, CumulativeProfile, PiecewiseConstant, SineFloor, sine_floor
+from pqsim import Constant, PiecewiseConstant, SineFloor, sine_floor
 from pqsim.profiles import profile_from_dict, profile_to_dict
 
 
@@ -160,12 +160,6 @@ class TestProfileInvariants:
             # Piecewise-exact profiles bottom out at float noise immediately.
             assert errors[2] < errors[0] or errors[0] < 1e-8
             assert errors[2] < 1e-2
-
-    def test_cumulative_profile_wrapper(self):
-        p = sine_floor(2000, 1000)
-        s = CumulativeProfile(p)
-        assert s.value_at(0.0) == 0.0
-        assert s.value_at(1.0) == p.cumulative(1.0)
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 """Tests for scenario parsing, validation, runners, CSV output and the CLI."""
 
 import json
+import math
 
 import pytest
 
@@ -252,3 +253,44 @@ class TestCli:
             "scenarios/congested_link.json",
         ):
             load_scenario(name)
+
+
+LINK = {"length": 1, "lanes": 1, "free_flow_speed": 60, "wave_speed": 20, "jam_density": 150}
+QUEUES = [{"capacity": None, "initial": 0}, {"capacity": 200, "initial": 0}]
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (dict(BASE, horizon=math.inf), "horizon"),
+        (dict(BASE, dt=math.nan), "dt"),
+        (dict(BASE, queue={"capacity": math.nan, "initial": 0}), "queue.capacity"),
+        (dict(BASE, queue={"capacity": 200, "initial": math.inf}), "queue.initial"),
+        (dict(BASE, model="ltm", link=dict(LINK, length=math.nan)), "link.length"),
+        (dict(BASE, model="tandem", queues=[QUEUES[0], dict(QUEUES[1], capacity=math.inf)]), "queues[1].capacity"),
+        (dict(BASE, demand={"type": "constant", "rate": math.nan}), "demand.rate"),
+        (dict(BASE, supply={"type": "piecewise_constant", "breakpoints": [0, 1], "rates": [1200, math.inf]}),
+         "supply.rates[1]"),
+        (dict(BASE, demand={"type": "sine_floor", "amplitude": math.inf, "floor": 1000}), "demand.amplitude"),
+    ],
+)
+def test_non_finite_numbers_rejected_with_field_named(tmp_path, capsys, doc, field):
+    """JSON NaN/Infinity fail at parse time with exit 2, never as a silent run or an internal error."""
+    scenario = make(tmp_path / "s.json", doc)
+    assert main(["simulate", str(scenario)]) == 2
+    assert f"field '{field}' must be a finite number" in capsys.readouterr().err
+
+
+class TestTandemThroughModels:
+    def test_compare_points_to_the_tandem_subcommand(self, capsys):
+        code = main(["compare", "scenarios/tandem_spillback.json", "--models", "tandem"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'pqsim tandem' subcommand" in err and "run_scenario" not in err
+
+    def test_models_help_lists_only_runnable_models(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["compare", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "subset of: pqm1, pqm2, pqm3, pqm4, eps-" in help_text and "ltm, lqm, vickrey" in help_text
+        assert "tandem" not in help_text
