@@ -122,8 +122,7 @@ def _step_with_volumes(variant, state, delta, sigma, cfg, capacity, clamp):
     departures = state.departures + outflow
     if variant.formulation is Formulation.CUMULATIVE:
         lam_next = arrivals - departures
-    nxt = PqState(clock=state.clock + cfg.dt, queue=lam_next, arrivals=arrivals, departures=departures)
-    return nxt, inflow, outflow
+    return PqState(state.clock + cfg.dt, lam_next, arrivals, departures), inflow, outflow
 
 
 def step_eps(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from .scenario import (
     MODELS,
     RunReport,
     Scenario,
+    check_grid,
     convergence_table,
     load_scenario,
     run_scenario,
@@ -93,6 +95,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_vickrey(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
+    check_grid(scenario)
     initial = scenario.queue.initial if scenario.queue is not None else 0.0
     solution = vickrey_closed_form(scenario.demand, scenario.supply, scenario.dt, scenario.horizon, initial)
     n = len(solution.grid) - 1
@@ -191,9 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:  # ScenarioError and ValidationError included

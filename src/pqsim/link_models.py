@@ -30,8 +30,10 @@ linear interpolation, so T1 and T2 need not be grid multiples.  Histories
 are seeded analytically for t <= 0 from the uniform initial density: the
 virtual pre-simulation inflow ramps linearly so that F(s) = content *
 (1 + s/T1) on [-T1, 0], and symmetrically for G, which reproduces the
-constant-rate start-up regime of both boundaries.  Reads never look past
-the current time because construction requires dt <= min(T1, T2).
+constant-rate start-up regime of both boundaries.  Within the step bound
+dt <= min(T1, T2), which scenario validation enforces, reads never look
+past the current time; under ``unsafe`` a read past the present returns
+the latest recorded value.
 """
 
 from __future__ import annotations
@@ -43,21 +45,22 @@ __all__ = ["LqmSimulation", "LtmSimulation", "lqm_demand_supply"]
 
 def lqm_demand_supply(rho: float, params: LinkParams) -> tuple[float, float]:
     """Delay-free link demand and supply rates (d, s) [veh/hr]."""
-    storage = params.storage
-    if not 0 <= rho <= storage:
-        raise ValueError(f"link content must lie in [0, {storage}] (got {rho})")
+    if not 0 <= rho <= params.storage:
+        raise ValueError(f"link content must lie in [0, {params.storage}] (got {rho})")
+    return _lqm_rates(rho, params)
+
+
+def _lqm_rates(rho: float, params: LinkParams) -> tuple[float, float]:
+    # Unchecked: within dt <= min(T1, T2) the step keeps rho in [0, storage];
+    # an unsafe run past that bound shows where rho goes instead of stopping.
     cap = params.capacity
-    d = min(rho / params.free_flow_time, cap)
-    s = min((storage - rho) / params.wave_time, cap)
-    return d, s
+    return min(rho / params.free_flow_time, cap), min((params.storage - rho) / params.wave_time, cap)
 
 
-def _check_step(params: LinkParams, dt: float, model: str) -> None:
-    bound = min(params.free_flow_time, params.wave_time)
+def _check_step(dt: float) -> None:
+    """The structural check only; the dt <= min(T1, T2) bound is the scenario's to enforce."""
     if dt <= 0:
         raise ValueError(f"dt must be positive (got {dt})")
-    if dt > bound:
-        raise ValueError(f"{model} requires dt <= min(T1, T2) = {bound:.4g} hr (got dt = {dt:g})")
 
 
 class LqmSimulation:
@@ -68,7 +71,7 @@ class LqmSimulation:
             raise ValueError(
                 f"initial content must lie in [0, {params.storage}] (got {initial_vehicles})"
             )
-        _check_step(params, dt, "LQM")
+        _check_step(dt)
         self.params = params
         self.dt = dt
         self.arrivals = initial_vehicles  # F
@@ -86,7 +89,7 @@ class LqmSimulation:
 
     def step(self, delta: float, sigma: float) -> tuple[float, float]:
         """Advance one step; returns (inflow, outflow) volumes [veh]."""
-        d, s = lqm_demand_supply(self.vehicles, self.params)
+        d, s = _lqm_rates(self.arrivals - self.departures, self.params)
         inflow = min(delta, s) * self.dt
         outflow = min(d, sigma) * self.dt
         self.arrivals += inflow
@@ -103,7 +106,7 @@ class LtmSimulation:
             raise ValueError(
                 f"initial content must lie in [0, {params.storage}] (got {initial_vehicles})"
             )
-        _check_step(params, dt, "LTM")
+        _check_step(dt)
         self.params = params
         self.dt = dt
         self.initial_vehicles = initial_vehicles
@@ -163,13 +166,18 @@ class LtmSimulation:
         """Demand and supply volumes (d*dt, s*dt) [veh] for the next step."""
         t = self.clock
         dt = self.dt
-        t1 = self.params.free_flow_time
-        t2 = self.params.wave_time
-        cap_volume = self.params.capacity * dt
-        delayed_in = self._arrivals_at(t + dt - t1) - self._arrivals_at(t - t1)
-        delayed_out = self._departures_at(t + dt - t2) - self._departures_at(t - t2)
-        demand = min(delayed_in + self.queue_size, cap_volume)
-        supply = min(delayed_out + self.vacancy, cap_volume)
+        params = self.params
+        t1 = params.free_flow_time
+        t2 = params.wave_time
+        cap_volume = params.capacity * dt
+        # F(t - T1) and G(t - T2) are read once each and shared with the
+        # queue_size and vacancy formulas.
+        arrivals_lo = self._arrivals_at(t - t1)
+        departures_lo = self._departures_at(t - t2)
+        queue = max(0.0, arrivals_lo - self._departures[-1])
+        vacancy = max(0.0, departures_lo + params.storage - self._arrivals[-1])
+        demand = min((self._arrivals_at(t + dt - t1) - arrivals_lo) + queue, cap_volume)
+        supply = min((self._departures_at(t + dt - t2) - departures_lo) + vacancy, cap_volume)
         return demand, supply
 
     def step(self, delta: float, sigma: float) -> tuple[float, float]:

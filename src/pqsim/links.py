@@ -21,6 +21,7 @@ floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["LinkParams", "QueueSpec", "triangular_flow"]
 
@@ -38,27 +39,29 @@ class LinkParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive (got {getattr(self, name)})")
 
-    @property
+    # Cached because the link steps read them every step; cached_property writes the
+    # instance __dict__, so it works frozen and fields(), asdict, eq and hash ignore it.
+    @cached_property
     def free_flow_time(self) -> float:
         """T1 = L/V [hr]."""
         return self.length / self.free_flow_speed
 
-    @property
+    @cached_property
     def wave_time(self) -> float:
         """T2 = L/W [hr]."""
         return self.length / self.wave_speed
 
-    @property
+    @cached_property
     def traverse_time(self) -> float:
         """T3 = T1 + T2 [hr]; equals L/U for U = V*W/(V+W)."""
         return self.free_flow_time + self.wave_time
 
-    @property
+    @cached_property
     def storage(self) -> float:
         """Maximum vehicle content N*L*K [veh]."""
         return self.lanes * self.length * self.jam_density
 
-    @property
+    @cached_property
     def capacity(self) -> float:
         """Total link capacity storage/T3 = N*U*K [veh/hr]."""
         return self.storage / self.traverse_time

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 __all__ = [
     "PqModel",
@@ -61,15 +62,10 @@ class PqModel(Enum):
     PQM3 = "pqm3"
     PQM4 = "pqm4"
 
-    @property
-    def demand_includes_feed(self) -> bool:
-        """Demand volume is feed + lam (else lam alone)."""
-        return self in (PqModel.PQM1, PqModel.PQM3)
-
-    @property
-    def supply_includes_service(self) -> bool:
-        """Supply volume is service + free space (else free space alone)."""
-        return self in (PqModel.PQM1, PqModel.PQM4)
+    def __init__(self, value: str) -> None:
+        # Plain member attributes, not properties: the step kernels read them every step.
+        self.demand_includes_feed = value in ("pqm1", "pqm3")  # demand = feed + lam, else lam
+        self.supply_includes_service = value in ("pqm1", "pqm4")  # supply = service + room, else room
 
     @property
     def label(self) -> str:
@@ -91,13 +87,13 @@ class PqVariant:
         return f"{self.formulation.value}-{self.model.label}"
 
 
-@dataclass(frozen=True)
-class PqState:
+class PqState(NamedTuple):
     """Point-queue state: queue length plus cumulative in/out flows.
 
     ``queue`` is authoritative under formulation A; under formulation B it
     is always ``arrivals - departures``.  Conventions: arrivals(0) equals
-    the initial content, departures(0) = 0.
+    the initial content, departures(0) = 0.  Immutable; a step returns a
+    new state.
     """
 
     clock: float
@@ -107,7 +103,7 @@ class PqState:
 
     @classmethod
     def initial(cls, content, clock=0.0) -> "PqState":
-        return cls(clock=clock, queue=content, arrivals=content, departures=content * 0)
+        return cls(clock, content, content, content * 0)
 
 
 def _demand_volume(model: PqModel, lam, feed):
@@ -180,8 +176,7 @@ def _step_with_volumes(variant, state, delta, sigma, dt, capacity, clamp):
     departures = state.departures + outflow
     if variant.formulation is Formulation.CUMULATIVE:
         lam_next = arrivals - departures
-    nxt = PqState(clock=state.clock + dt, queue=lam_next, arrivals=arrivals, departures=departures)
-    return nxt, inflow, outflow
+    return PqState(state.clock + dt, lam_next, arrivals, departures), inflow, outflow
 
 
 def step_pq(

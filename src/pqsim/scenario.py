@@ -53,6 +53,7 @@ __all__ = [
     "RunReport",
     "load_scenario",
     "scenario_from_dict",
+    "check_grid",
     "simulate_model",
     "run_scenario",
     "convergence_table",
@@ -209,11 +210,25 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(doc, source=str(path))
 
 
+# The step and time fields a run cannot start without, and the CLI flag that overrides each.
+_POSITIVE = {"dt": "--dt/--dt-list", "horizon": "--horizon", "epsilon": "--eps"}
+
+
+def check_grid(scenario: Scenario) -> None:
+    """Raise unless dt, horizon and (when set) epsilon are positive and finite.
+
+    Structural, not a bound: ``unsafe`` does not skip it.  A JSON scenario
+    cannot hold NaN or infinity, but the CLI overrides can.
+    """
+    for name, flag in _POSITIVE.items():
+        value = getattr(scenario, name)
+        if value is not None and not 0 < value < math.inf:
+            raise ValidationError(
+                f"{scenario.source}: {name} must be positive and finite (got {value!r}; set by field '{name}' or {flag})"
+            )
+
+
 def _step_count(scenario: Scenario) -> int:
-    if scenario.dt <= 0:
-        raise ValidationError(f"{scenario.source}: dt must be positive (got {scenario.dt})")
-    if scenario.horizon <= 0:
-        raise ValidationError(f"{scenario.source}: horizon must be positive (got {scenario.horizon})")
     n = round(scenario.horizon / scenario.dt)
     if n < 1:
         raise ValidationError(
@@ -250,8 +265,6 @@ def _check_point(scenario: Scenario, name: str) -> None:
 
 def _check_eps(scenario: Scenario, name: str) -> None:
     eps = scenario.epsilon
-    if eps <= 0:
-        raise ValidationError(f"{scenario.source}: epsilon must be positive (got {eps})")
     if scenario.dt > eps:
         raise ValidationError(
             f"{scenario.source}: relaxed models require dt <= epsilon = {eps:g} hr (got dt = {scenario.dt:g})"
@@ -287,12 +300,11 @@ def _run_point(
     conv = Fraction if exact else float
     cap = queue.capacity if queue.capacity is None else conv(queue.capacity)
     state = PqState.initial(conv(queue.initial))
+    # Looked up once per run, at run time, so a wrapper set on the module is seen.
     if relaxed:
-        cfg = EpsilonConfig(scenario.epsilon, dt, unsafe=scenario.unsafe)
-        stepper = lambda st, d, s: approx._step_with_volumes(variant, st, d, s, cfg, cap, clamp)
+        step, dt_or_cfg = approx._step_with_volumes, EpsilonConfig(scenario.epsilon, dt, unsafe=scenario.unsafe)
     else:
-        dt_volume = conv(dt)
-        stepper = lambda st, d, s: point_queue._step_with_volumes(variant, st, d, s, dt_volume, cap, clamp)
+        step, dt_or_cfg = point_queue._step_with_volumes, conv(dt)
     times, queues, arrs, deps, fin, fout = [], [], [], [], [], []
     for i in range(n):
         t = i * dt
@@ -300,7 +312,9 @@ def _run_point(
         queues.append(float(state.queue))
         arrs.append(float(state.arrivals))
         deps.append(float(state.departures))
-        state, in_vol, out_vol = stepper(state, conv(scenario.demand.rate_at(t)), conv(scenario.supply.rate_at(t)))
+        state, in_vol, out_vol = step(
+            variant, state, conv(scenario.demand.rate_at(t)), conv(scenario.supply.rate_at(t)), dt_or_cfg, cap, clamp
+        )
         fin.append(float(in_vol) / dt)
         fout.append(float(out_vol) / dt)
     return Trajectory(name, dt, times, queues, arrs, deps, fin, fout)
@@ -402,11 +416,12 @@ MODEL_NAMES = tuple(MODELS)
 
 
 def validate_model(scenario: Scenario, model_name: str) -> None:
-    """Check the fields a model needs and, unless ``unsafe``, its admissibility bound."""
+    """Check the grid, the fields a model needs and, unless ``unsafe``, its admissibility bound."""
     name = model_name.lower()
     spec = MODELS.get(name)
     if spec is None:
         raise ValidationError(f"{scenario.source}: unknown model {model_name!r}")
+    check_grid(scenario)
     for need in spec.needs:
         if getattr(scenario, need) is None:
             raise ValidationError(f"{scenario.source}: model {name!r} needs {_NEEDS[need]}")

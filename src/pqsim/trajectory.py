@@ -12,6 +12,7 @@ summary statistics exactly recomputable from the file.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,10 +98,10 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for row in zip(
-                self.times, self.queue, self.arrivals, self.departures, self.inflow_rate, self.outflow_rate
-            ):
-                writer.writerow([repr(x) for x in row])
+            # The csv module writes a float as its repr.
+            writer.writerows(
+                zip(self.times, self.queue, self.arrivals, self.departures, self.inflow_rate, self.outflow_rate)
+            )
         return path
 
     @classmethod
@@ -126,4 +127,4 @@ def sup_distance(a: Trajectory, b: Trajectory) -> float:
         raise ValueError(
             f"trajectories are not on the same grid ({len(a)} rows at dt={a.dt} vs {len(b)} at dt={b.dt})"
         )
-    return max(abs(x - y) for x, y in zip(a.queue, b.queue))
+    return max(map(abs, map(operator.sub, a.queue, b.queue)))

@@ -1,6 +1,7 @@
 """Tests for the two link-based models and their zero-length limits."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -13,9 +14,11 @@ from pqsim import (
     PqState,
     PqVariant,
     lqm_demand_supply,
+    scenario_from_dict,
     sine_floor,
     step_pq,
 )
+from pqsim.scenario import validate_model
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
 # storage = 150 veh, T1 = 1/60, T2 = 1/20, capacity = 2250 vph
@@ -81,8 +84,23 @@ class TestLqmStep:
             assert abs(fin - fout) <= limit
 
     def test_step_bound_enforced(self):
+        """Scenario validation owns the bound; the constructors check only dt > 0."""
+        doc = {
+            "model": "lqm",
+            "demand": {"type": "constant", "rate": 1000},
+            "supply": {"type": "constant", "rate": 1000},
+            "link": asdict(STANDARD),
+            "dt": 0.02,  # T1 = 1/60
+            "horizon": 1.0,
+        }
         with pytest.raises(ValueError, match="min\\(T1, T2\\)"):
-            LqmSimulation(STANDARD, 0.0, dt=0.02)  # T1 = 1/60
+            validate_model(scenario_from_dict(doc), "lqm")
+
+    def test_constructors_check_only_positive_dt(self):
+        for sim_cls in (LqmSimulation, LtmSimulation):
+            sim_cls(STANDARD, 0.0, dt=0.02).step(1000, 1000)
+            with pytest.raises(ValueError, match="dt must be positive"):
+                sim_cls(STANDARD, 0.0, dt=0.0)
 
 
 class TestLtmBoundary:

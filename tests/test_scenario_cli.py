@@ -14,6 +14,7 @@ from pqsim import (
     scenario_from_dict,
     simulate_model,
 )
+from pqsim import cli
 from pqsim.cli import main
 from pqsim.scenario import convergence_table, scenario_to_dict
 
@@ -294,3 +295,67 @@ class TestTandemThroughModels:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "subset of: pqm1, pqm2, pqm3, pqm4, eps-" in help_text and "ltm, lqm, vickrey" in help_text
         assert "tandem" not in help_text
+
+
+RELAXED = "scenarios/sine_floor_relaxed.json"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", RELAXED, "--horizon", "inf"], "--horizon"),
+        (["simulate", RELAXED, "--horizon", "nan"], "--horizon"),
+        (["simulate", RELAXED, "--horizon", "-1", "--unsafe"], "--horizon"),
+        (["simulate", RELAXED, "--dt", "nan"], "--dt"),
+        (["simulate", RELAXED, "--dt", "inf", "--unsafe"], "--dt"),
+        (["simulate", RELAXED, "--eps", "nan"], "--eps"),
+        (["simulate", RELAXED, "--eps", "inf"], "--eps"),
+        (["simulate", RELAXED, "--eps", "nan", "--unsafe"], "--eps"),
+        (["simulate", RELAXED, "--eps", "0", "--unsafe"], "--eps"),
+        (["vickrey", "scenarios/sine_floor_single_queue.json", "--horizon", "inf"], "--horizon"),
+        (["tandem", "scenarios/tandem_spillback.json", "--dt", "nan"], "--dt"),
+        (["convergence", "scenarios/congested_link.json", "--models", "ltm,lqm", "--dt-list", "0.01,nan"],
+         "--dt-list"),
+    ],
+)
+def test_bad_grid_overrides_rejected_with_flag_named(capsys, argv, flag):
+    """A non-finite or non-positive dt, eps or horizon exits 2 naming its flag, under --unsafe too."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "must be positive and finite" in err and flag in err
+
+
+class TestUnsafeLinks:
+    def test_link_step_bound_without_unsafe(self, capsys):
+        assert main(["simulate", "scenarios/congested_link.json", "--dt", "0.05"]) == 2
+        assert "LQM requires dt <= min(T1, T2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["lqm", "ltm"])
+    def test_unsafe_runs_link_models_past_the_step_bound(self, tmp_path, capsys, model):
+        argv = ["simulate", "scenarios/congested_link.json", "--dt", "0.05", "--unsafe", "--models", model]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith(f"{model}: max lambda")
+        if model == "lqm":  # the explicit step overshoots: the run shows it instead of stopping
+            assert min(Trajectory.from_csv(tmp_path / "lqm.csv").queue) < 0
+
+
+class TestCachedParser:
+    """``main`` reuses one parser per process; no call may see another's arguments."""
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_flags_and_subcommand_do_not_carry_over(self, tmp_path, capsys):
+        scenario = str(make(tmp_path / "s.json", dict(BASE, model="pqm3", dt=0.2, horizon=1.0)))
+        assert main(["simulate", scenario, "--unsafe", "--models", "pqm3,pqm4", "--dt", "0.25"]) == 0
+        assert "pqm4: max lambda" in capsys.readouterr().out
+        # Without --unsafe the scenario's own dt = 0.2 breaks the PQM3 bound again.
+        assert main(["simulate", scenario]) == 2
+        err = capsys.readouterr().err
+        assert "PQM3-D requires dt <= capacity/sigma_max" in err and "dt = 0.2)" in err
+        # A stale set_defaults(func=...) would run 'simulate' here.
+        assert main(["vickrey", scenario]) == 0
+        assert capsys.readouterr().out.startswith("vickrey closed form:")
+        fresh = cli.build_parser().parse_args(["vickrey", scenario])
+        assert vars(cli._parser().parse_args(["vickrey", scenario])) == vars(fresh)
+        assert fresh.func is cli._cmd_vickrey and not hasattr(fresh, "models")
