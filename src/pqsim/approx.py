@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .point_queue import Formulation, PqModel, PqState, PqVariant
+from .point_queue import _CUMULATIVE, PqModel, PqState, PqVariant, _new_tuple
 from .point_queue import _advance as point_queue_advance
 
 __all__ = [
@@ -91,38 +91,45 @@ def eps_demand_supply(variant: PqVariant | PqModel, lam, delta, sigma, eps, capa
 
 
 def _eps_advance(model: PqModel, lam, feed, service, capacity, ratio, clamp: bool):
-    """One relaxed update; ``ratio`` is dt/eps (exactly 1 collapses to the exact model)."""
+    """One relaxed update; ``ratio`` is dt/eps (exactly 1 collapses to the exact model).
+
+    ``min``/``max`` are spelled as conditional expressions with the builtins'
+    tie rules, as in :func:`point_queue._advance`.
+    """
     if ratio == 1:
         # dt = eps reproduces the exact discrete model, volumes and all.
         return point_queue_advance(model, lam, feed, service, capacity, clamp)
     relax_out = lam * ratio
     dvol = feed + relax_out if model.demand_includes_feed else relax_out
     if capacity is None:
-        svol = None
+        inflow = feed
     else:
         relax_in = (capacity - lam) * ratio
         svol = service + relax_in if model.supply_includes_service else relax_in
-    inflow = feed if svol is None else min(feed, svol)
-    outflow = min(dvol, service)
+        inflow = svol if svol < feed else feed
+    outflow = service if service < dvol else dvol
     lam_next = lam + (inflow - outflow)
     if clamp:
-        lam_next = max(lam_next, 0)
-        if capacity is not None:
-            lam_next = min(lam_next, capacity)
+        lam_next = 0 if 0 > lam_next else lam_next
+        if capacity is not None and capacity < lam_next:
+            lam_next = capacity
     return lam_next, inflow, outflow
 
 
 def _step_with_volumes(variant, state, delta, sigma, cfg, capacity, clamp):
-    lam = state.queue if variant.formulation is Formulation.QUEUE else state.arrivals - state.departures
-    ratio = cfg.dt / cfg.epsilon
+    clock, lam, arrivals, departures = state
+    cumulative = variant.formulation is _CUMULATIVE
+    if cumulative:
+        lam = arrivals - departures
+    dt = cfg.dt
     lam_next, inflow, outflow = _eps_advance(
-        variant.model, lam, delta * cfg.dt, sigma * cfg.dt, capacity, ratio, clamp
+        variant.model, lam, delta * dt, sigma * dt, capacity, dt / cfg.epsilon, clamp
     )
-    arrivals = state.arrivals + inflow
-    departures = state.departures + outflow
-    if variant.formulation is Formulation.CUMULATIVE:
+    arrivals = arrivals + inflow
+    departures = departures + outflow
+    if cumulative:
         lam_next = arrivals - departures
-    return PqState(state.clock + cfg.dt, lam_next, arrivals, departures), inflow, outflow
+    return _new_tuple(PqState, (clock + dt, lam_next, arrivals, departures)), inflow, outflow
 
 
 def step_eps(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -117,7 +118,23 @@ def _cmd_vickrey(args) -> int:
     return 0
 
 
+def _check_stationary_inputs(args) -> None:
+    """Raise unless the rates are nonnegative and the capacity and eps positive, all finite."""
+    for flag, value, zero_ok in (
+        ("--delta", args.delta, True),
+        ("--sigma", args.sigma, True),
+        ("--capacity", args.capacity, False),
+        ("--eps", args.eps, False),
+    ):
+        if value is None:  # only --eps is optional
+            continue
+        if not (0 <= value < math.inf if zero_ok else 0 < value < math.inf):
+            kind = "nonnegative" if zero_ok else "positive"
+            raise ValidationError(f"stationary: {flag} must be {kind} and finite (got {value!r})")
+
+
 def _cmd_stationary(args) -> int:
+    _check_stationary_inputs(args)
     if args.eps is not None:
         if args.model is None:
             raise ValidationError("stationary with --eps needs --model (one of eps-pqm1..eps-pqm4)")

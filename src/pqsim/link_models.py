@@ -47,14 +47,10 @@ def lqm_demand_supply(rho: float, params: LinkParams) -> tuple[float, float]:
     """Delay-free link demand and supply rates (d, s) [veh/hr]."""
     if not 0 <= rho <= params.storage:
         raise ValueError(f"link content must lie in [0, {params.storage}] (got {rho})")
-    return _lqm_rates(rho, params)
-
-
-def _lqm_rates(rho: float, params: LinkParams) -> tuple[float, float]:
-    # Unchecked: within dt <= min(T1, T2) the step keeps rho in [0, storage];
-    # an unsafe run past that bound shows where rho goes instead of stopping.
     cap = params.capacity
-    return min(rho / params.free_flow_time, cap), min((params.storage - rho) / params.wave_time, cap)
+    d = rho / params.free_flow_time
+    s = (params.storage - rho) / params.wave_time
+    return (cap if cap < d else d), (cap if cap < s else s)
 
 
 def _check_step(dt: float) -> None:
@@ -64,7 +60,10 @@ def _check_step(dt: float) -> None:
 
 
 class LqmSimulation:
-    """Delay-free link simulation; owns its state for the whole run."""
+    """Delay-free link simulation; owns its state for the whole run.
+
+    ``step_queue`` is the content F - G the latest step started from.
+    """
 
     def __init__(self, params: LinkParams, initial_vehicles: float, dt: float):
         if not 0 <= initial_vehicles <= params.storage:
@@ -76,7 +75,10 @@ class LqmSimulation:
         self.dt = dt
         self.arrivals = initial_vehicles  # F
         self.departures = 0.0  # G
+        self.step_queue = None
         self._steps = 0
+        # What the step reads of params, taken once.
+        self._rate_terms = (params.free_flow_time, params.wave_time, params.storage, params.capacity)
 
     @property
     def clock(self) -> float:
@@ -88,18 +90,34 @@ class LqmSimulation:
         return self.arrivals - self.departures
 
     def step(self, delta: float, sigma: float) -> tuple[float, float]:
-        """Advance one step; returns (inflow, outflow) volumes [veh]."""
-        d, s = _lqm_rates(self.arrivals - self.departures, self.params)
-        inflow = min(delta, s) * self.dt
-        outflow = min(d, sigma) * self.dt
+        """Advance one step; returns (inflow, outflow) volumes [veh].
+
+        The rates are those of :func:`lqm_demand_supply`, unchecked: within
+        dt <= min(T1, T2) the step keeps rho in [0, storage], and an unsafe
+        run past that bound shows where rho goes instead of stopping.
+        """
+        t1, t2, storage, cap = self._rate_terms
+        rho = self.arrivals - self.departures
+        d = rho / t1
+        d = cap if cap < d else d
+        s = (storage - rho) / t2
+        s = cap if cap < s else s
+        inflow = (s if s < delta else delta) * self.dt
+        outflow = (sigma if sigma < d else d) * self.dt
         self.arrivals += inflow
         self.departures += outflow
+        self.step_queue = rho
         self._steps += 1
         return inflow, outflow
 
 
 class LtmSimulation:
-    """Delay-based link simulation with interpolated cumulative histories."""
+    """Delay-based link simulation with interpolated cumulative histories.
+
+    ``arrivals`` and ``departures`` are F(t) and G(t), the last entries of
+    the histories; ``step_queue`` is the downstream queue F(t - T1) - G(t)
+    the latest step started from.
+    """
 
     def __init__(self, params: LinkParams, initial_vehicles: float, dt: float):
         if not 0 <= initial_vehicles <= params.storage:
@@ -110,82 +128,110 @@ class LtmSimulation:
         self.params = params
         self.dt = dt
         self.initial_vehicles = initial_vehicles
+        self.arrivals = initial_vehicles
+        self.departures = 0.0
+        self.step_queue = None
         self._arrivals = [initial_vehicles]  # F on the grid from t = 0
         self._departures = [0.0]  # G on the grid from t = 0
         self._steps = 0
+        # What the step reads of params, taken once: the two delays, the
+        # storage, and the slope of G's virtual seed.
+        self._delays = (params.free_flow_time, params.wave_time)
+        self._storage = params.storage
+        self._seed_outflow = (params.storage - initial_vehicles) / params.wave_time
+        self._cap_volume = params.capacity * dt
 
     @property
     def clock(self) -> float:
         return self._steps * self.dt
 
     @property
-    def arrivals(self) -> float:
-        return self._arrivals[-1]
-
-    @property
-    def departures(self) -> float:
-        return self._departures[-1]
-
-    @property
     def vehicles(self) -> float:
         return self.arrivals - self.departures
-
-    def _interp(self, series: list[float], s: float) -> float:
-        pos = s / self.dt
-        j = int(pos)
-        if j >= len(series) - 1:
-            return series[-1]
-        frac = pos - j
-        return series[j] + frac * (series[j + 1] - series[j])
-
-    def _arrivals_at(self, s: float) -> float:
-        if s <= 0:
-            # Virtual seed: inflow ramp ending at F(0) = initial content.
-            return max(0.0, self.initial_vehicles * (1.0 + s / self.params.free_flow_time))
-        return self._interp(self._arrivals, s)
-
-    def _departures_at(self, s: float) -> float:
-        if s <= 0:
-            # Virtual seed: negative values encode the pre-simulation ramp.
-            return (self.params.storage - self.initial_vehicles) / self.params.wave_time * s
-        return self._interp(self._departures, s)
 
     @property
     def queue_size(self) -> float:
         """Downstream queue F(t - T1) - G(t) [veh]."""
-        t = self.clock
-        return max(0.0, self._arrivals_at(t - self.params.free_flow_time) - self.departures)
+        return self._volumes()[0]
 
     @property
     def vacancy(self) -> float:
         """Upstream vacancy G(t - T2) + storage - F(t) [veh]."""
-        t = self.clock
-        return max(0.0, self._departures_at(t - self.params.wave_time) + self.params.storage - self.arrivals)
+        return self._volumes()[1]
+
+    def _volumes(self) -> tuple[float, float, float, float]:
+        """(queue_size, vacancy, demand, supply) [veh] for the next step.
+
+        Four delayed reads: F and G at t - T1 (t - T2) and one step later,
+        interpolated linearly in the histories for s > 0 and taken from the
+        virtual seed for s <= 0.  F(t - T1) and G(t - T2) are read once each
+        and shared by the queue, the vacancy and the volumes.
+        """
+        dt = self.dt
+        last = self._steps  # index of F(t) and G(t) in the histories
+        t = last * dt
+        t1, t2 = self._delays
+        series = self._arrivals
+        a_lo = t - t1
+        a_hi = t + dt - t1
+        # F's seed: the inflow ramp ending at F(0) = initial content.
+        if a_lo <= 0:
+            seed = self.initial_vehicles * (1.0 + a_lo / t1)
+            a_lo = seed if seed > 0.0 else 0.0
+        else:
+            pos = a_lo / dt
+            j = int(pos)
+            a_lo = series[-1] if j >= last else series[j] + (pos - j) * (series[j + 1] - series[j])
+        if a_hi <= 0:
+            seed = self.initial_vehicles * (1.0 + a_hi / t1)
+            a_hi = seed if seed > 0.0 else 0.0
+        else:
+            pos = a_hi / dt
+            j = int(pos)
+            a_hi = series[-1] if j >= last else series[j] + (pos - j) * (series[j + 1] - series[j])
+        series = self._departures
+        d_lo = t - t2
+        d_hi = t + dt - t2
+        # G's seed: negative values encode the pre-simulation ramp.
+        if d_lo <= 0:
+            d_lo = self._seed_outflow * d_lo
+        else:
+            pos = d_lo / dt
+            j = int(pos)
+            d_lo = series[-1] if j >= last else series[j] + (pos - j) * (series[j + 1] - series[j])
+        if d_hi <= 0:
+            d_hi = self._seed_outflow * d_hi
+        else:
+            pos = d_hi / dt
+            j = int(pos)
+            d_hi = series[-1] if j >= last else series[j] + (pos - j) * (series[j + 1] - series[j])
+        queue = a_lo - self.departures
+        queue = queue if queue > 0.0 else 0.0
+        vacancy = d_lo + self._storage - self.arrivals
+        vacancy = vacancy if vacancy > 0.0 else 0.0
+        cap_volume = self._cap_volume
+        demand = (a_hi - a_lo) + queue
+        demand = cap_volume if cap_volume < demand else demand
+        supply = (d_hi - d_lo) + vacancy
+        supply = cap_volume if cap_volume < supply else supply
+        return queue, vacancy, demand, supply
 
     def demand_supply_volumes(self) -> tuple[float, float]:
         """Demand and supply volumes (d*dt, s*dt) [veh] for the next step."""
-        t = self.clock
-        dt = self.dt
-        params = self.params
-        t1 = params.free_flow_time
-        t2 = params.wave_time
-        cap_volume = params.capacity * dt
-        # F(t - T1) and G(t - T2) are read once each and shared with the
-        # queue_size and vacancy formulas.
-        arrivals_lo = self._arrivals_at(t - t1)
-        departures_lo = self._departures_at(t - t2)
-        queue = max(0.0, arrivals_lo - self._departures[-1])
-        vacancy = max(0.0, departures_lo + params.storage - self._arrivals[-1])
-        demand = min((self._arrivals_at(t + dt - t1) - arrivals_lo) + queue, cap_volume)
-        supply = min((self._departures_at(t + dt - t2) - departures_lo) + vacancy, cap_volume)
-        return demand, supply
+        return self._volumes()[2:]
 
     def step(self, delta: float, sigma: float) -> tuple[float, float]:
         """Advance one step; returns (inflow, outflow) volumes [veh]."""
-        demand, supply = self.demand_supply_volumes()
-        inflow = min(delta * self.dt, supply)
-        outflow = min(demand, sigma * self.dt)
-        self._arrivals.append(self._arrivals[-1] + inflow)
-        self._departures.append(self._departures[-1] + outflow)
+        queue, _, demand, supply = self._volumes()
+        dt = self.dt
+        inflow = delta * dt
+        inflow = supply if supply < inflow else inflow
+        outflow = sigma * dt
+        outflow = outflow if outflow < demand else demand
+        self.arrivals += inflow
+        self.departures += outflow
+        self._arrivals.append(self.arrivals)
+        self._departures.append(self.departures)
+        self.step_queue = queue
         self._steps += 1
         return inflow, outflow

@@ -27,10 +27,12 @@ construction, without accumulating drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import add, sub
+from typing import NamedTuple
 
 from .links import QueueSpec
-from .point_queue import PqModel, _advance, _demand_volume, _supply_volume
+from .point_queue import PqModel, _new_tuple
 
 __all__ = ["TandemQueue", "TandemSpec", "TandemState", "step_tandem"]
 
@@ -51,6 +53,14 @@ class TandemSpec:
         object.__setattr__(self, "queues", tuple(self.queues))
         if not self.queues:
             raise ValueError("a tandem needs at least one queue")
+        # What the step reads per queue, taken once: demand flags origin to
+        # destination, (capacity, supply flag) destination to origin.
+        object.__setattr__(self, "_with_feed", tuple(q.model.demand_includes_feed for q in self.queues))
+        object.__setattr__(
+            self,
+            "_upstream_supply",
+            tuple((q.spec.capacity, q.model.supply_includes_service) for q in reversed(self.queues)),
+        )
 
     @property
     def mixed_models(self) -> bool:
@@ -58,8 +68,7 @@ class TandemSpec:
         return len({q.model for q in self.queues}) > 1
 
 
-@dataclass
-class TandemState:
+class TandemState(NamedTuple):
     """Cumulative inflow/outflow per queue; queue lengths are derived."""
 
     clock: float
@@ -69,60 +78,49 @@ class TandemState:
     @classmethod
     def initial(cls, spec: TandemSpec, clock: float = 0.0) -> "TandemState":
         contents = [q.spec.initial for q in spec.queues]
-        return cls(clock=clock, arrivals=list(contents), departures=[c * 0 for c in contents])
+        return cls(clock, list(contents), [c * 0 for c in contents])
 
     @property
     def queues(self) -> list[float]:
-        return [f - g for f, g in zip(self.arrivals, self.departures)]
+        return list(map(sub, self.arrivals, self.departures))
 
     @property
     def total(self) -> float:
         return sum(self.queues)
 
 
-def step_tandem(
-    spec: TandemSpec,
-    state: TandemState,
-    delta,
-    sigma,
-    dt,
-    clamp: bool = True,
-) -> tuple[TandemState, list]:
+def step_tandem(spec: TandemSpec, state: TandemState, delta, sigma, dt) -> tuple[TandemState, list]:
     """Advance the whole tandem one step; returns (state', fluxes).
 
     ``fluxes`` has one volume per boundary: origin inflow, each
     inter-queue flux, destination outflow (length = number of queues + 1).
+    The state is cumulative, so there is no queue length to clamp.
     """
-    n = len(spec.queues)
-    lams = state.queues
-    caps = [q.spec.capacity for q in spec.queues]
-    models = [q.model for q in spec.queues]
-
+    clock, arrivals, departures = state
+    lams = list(map(sub, arrivals, departures))
     # Demand volumes propagate origin-to-destination: each queue's feed is
     # its upstream neighbour's demand volume.
-    feeds = [delta * dt]
-    for i in range(n - 1):
-        feeds.append(_demand_volume(models[i], lams[i], feeds[i]))
+    demand = delta * dt
+    demands = [demand]
+    for lam, with_feed in zip(lams, spec._with_feed):
+        demand = demand + lam if with_feed else lam
+        demands.append(demand)
     # Supply volumes propagate destination-to-origin: each queue's service
     # is its downstream neighbour's supply volume (None = unlimited).
-    backs: list = [None] * n
-    backs[n - 1] = sigma * dt
-    for i in range(n - 2, -1, -1):
-        backs[i] = _supply_volume(models[i + 1], lams[i + 1], backs[i + 1], caps[i + 1])
-
-    arrivals = list(state.arrivals)
-    departures = list(state.departures)
-    fluxes: list = []
-    incoming = None
-    for i in range(n):
-        _, inflow, outflow = _advance(models[i], lams[i], feeds[i], backs[i], caps[i], clamp)
-        if i == 0:
-            # Interior inflows reuse the upstream outflow volume verbatim so
-            # each boundary is credited with a single shared value.
-            incoming = inflow
-            fluxes.append(incoming)
-        arrivals[i] = arrivals[i] + incoming
-        departures[i] = departures[i] + outflow
-        fluxes.append(outflow)
-        incoming = outflow
-    return TandemState(clock=state.clock + dt, arrivals=arrivals, departures=departures), fluxes
+    supply = sigma * dt
+    supplies = [supply]
+    for lam, (capacity, with_service) in zip(reversed(lams), spec._upstream_supply):
+        if capacity is None:
+            supply = None
+        elif with_service:
+            supply = None if supply is None else supply + (capacity - lam)
+        else:
+            supply = capacity - lam
+        supplies.append(supply)
+    supplies.reverse()
+    # Each boundary carries min(demand, supply), credited verbatim to the
+    # outflow of one queue and the inflow of the next.
+    fluxes = [d if s is None else (s if s < d else d) for d, s in zip(demands, supplies)]
+    arrivals = list(map(add, arrivals, fluxes))
+    departures = list(map(add, departures, fluxes[1:]))
+    return _new_tuple(TandemState, (clock + dt, arrivals, departures)), fluxes

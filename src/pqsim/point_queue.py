@@ -33,9 +33,12 @@ the physical range (see :func:`well_definedness_bound`).
 Two formulations of the same update are provided: formulation A carries
 the queue length forward; formulation B carries the cumulative inflow F
 and outflow G and derives lam = F - G.  They apply identical volume
-expressions and coincide exactly in exact arithmetic; every function here
-is written with plain arithmetic and min/max only, so it can be run on
-``fractions.Fraction`` states for bit-exact checks.
+expressions and coincide exactly in exact arithmetic.  Every function here
+uses plain arithmetic and comparisons only, so it can be run on
+``fractions.Fraction`` states for bit-exact checks.  The step kernels spell
+``min(a, b)`` as ``b if b < a else a`` and ``max(a, b)`` as
+``b if b > a else a``: the builtins' tie rules (the first argument wins a
+tie), hence the same value and type, at a fraction of a builtin call's cost.
 """
 
 from __future__ import annotations
@@ -106,25 +109,6 @@ class PqState(NamedTuple):
         return cls(clock, content, content, content * 0)
 
 
-def _demand_volume(model: PqModel, lam, feed):
-    return feed + lam if model.demand_includes_feed else lam
-
-
-def _supply_volume(model: PqModel, lam, service, capacity):
-    """Supply volume, or None when structurally unlimited.
-
-    ``capacity is None`` (unbounded storage) makes the supply unlimited in
-    every variant; an unlimited downstream service (``service is None``)
-    does the same for the variants whose supply includes the service term.
-    """
-    if capacity is None:
-        return None
-    room = capacity - lam
-    if model.supply_includes_service:
-        return None if service is None else service + room
-    return room
-
-
 def _advance(model: PqModel, lam, feed, service, capacity, clamp: bool):
     """One queue update; returns (lam_next, inflow, outflow) as volumes.
 
@@ -132,25 +116,36 @@ def _advance(model: PqModel, lam, feed, service, capacity, clamp: bool):
     accepted downstream during the step (service None = unlimited).  The
     drained term resolves lam - outflow algebraically so that a queue
     hitting a floor or ceiling lands on the exact value (0, feed,
-    capacity - service, ...) instead of accumulating round-off.
+    capacity - service, ...) instead of accumulating round-off.  The volumes
+    are those of :func:`discrete_demand_supply`; the supply is None when
+    unlimited (``capacity`` None, or ``service`` None in PQM1/PQM4).
     """
-    svol = _supply_volume(model, lam, service, capacity)
-    inflow = feed if svol is None else min(feed, svol)
-    dvol = _demand_volume(model, lam, feed)
-    outflow = dvol if service is None else min(dvol, service)
-    if service is None:
-        drained = -feed if model.demand_includes_feed else 0
-    elif model.demand_includes_feed:
-        drained = max(-feed, lam - service)
+    with_feed = model.demand_includes_feed
+    if capacity is None:
+        svol = None
     else:
-        drained = max(0, lam - service)
+        svol = capacity - lam
+        if model.supply_includes_service:
+            svol = None if service is None else service + svol
+    inflow = feed if svol is None else (svol if svol < feed else feed)
+    dvol = feed + lam if with_feed else lam
+    if service is None:
+        outflow = dvol
+        drained = -feed if with_feed else 0
+    else:
+        outflow = service if service < dvol else dvol
+        drained = lam - service
+        if with_feed:
+            drained = drained if drained > -feed else -feed
+        else:
+            drained = drained if drained > 0 else 0
     lam_next = inflow + drained
     if clamp:
         # Absorbs last-ulp float excursions only: within the admissible
         # step bound the exact update never leaves [0, capacity].
-        lam_next = max(lam_next, 0)
-        if capacity is not None:
-            lam_next = min(lam_next, capacity)
+        lam_next = 0 if 0 > lam_next else lam_next
+        if capacity is not None and capacity < lam_next:
+            lam_next = capacity
     return lam_next, inflow, outflow
 
 
@@ -164,19 +159,28 @@ def discrete_demand_supply(variant: PqVariant | PqModel, lam, delta, sigma, dt, 
     model = variant.model if isinstance(variant, PqVariant) else variant
     if lam < 0 or (capacity is not None and lam > capacity):
         raise ValueError(f"queue length {lam} outside [0, {capacity}]")
-    dvol = _demand_volume(model, lam, delta * dt)
-    svol = _supply_volume(model, lam, sigma * dt, capacity)
-    return dvol, math.inf if svol is None else svol
+    dvol = delta * dt + lam if model.demand_includes_feed else lam
+    if capacity is None:
+        return dvol, math.inf
+    room = capacity - lam
+    return dvol, sigma * dt + room if model.supply_includes_service else room
+
+
+_CUMULATIVE = Formulation.CUMULATIVE
+_new_tuple = tuple.__new__  # builds a state tuple without NamedTuple.__new__'s Python frame
 
 
 def _step_with_volumes(variant, state, delta, sigma, dt, capacity, clamp):
-    lam = state.queue if variant.formulation is Formulation.QUEUE else state.arrivals - state.departures
+    clock, lam, arrivals, departures = state
+    cumulative = variant.formulation is _CUMULATIVE
+    if cumulative:
+        lam = arrivals - departures
     lam_next, inflow, outflow = _advance(variant.model, lam, delta * dt, sigma * dt, capacity, clamp)
-    arrivals = state.arrivals + inflow
-    departures = state.departures + outflow
-    if variant.formulation is Formulation.CUMULATIVE:
+    arrivals = arrivals + inflow
+    departures = departures + outflow
+    if cumulative:
         lam_next = arrivals - departures
-    return PqState(state.clock + dt, lam_next, arrivals, departures), inflow, outflow
+    return _new_tuple(PqState, (clock + dt, lam_next, arrivals, departures)), inflow, outflow
 
 
 def step_pq(

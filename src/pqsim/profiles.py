@@ -16,13 +16,18 @@ Three shapes cover the bundled scenarios:
   integral is evaluated piecewise with analytically computed crossing
   times, so it is exact, not quadrature-based.
 
+Every profile samples itself on a uniform step grid with
+``rates_on_grid(n, dt)``, which returns exactly
+``[rate_at(i * dt) for i in range(n)]``: the step loops sample each run's
+rates once through it instead of calling ``rate_at`` twice per step.
+
 All profiles are immutable and safe to share between concurrent runs.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 __all__ = [
@@ -41,11 +46,23 @@ def _check_time(t: float) -> None:
         raise ValueError(f"rate profiles are defined for t >= 0 only (got t = {t})")
 
 
+def _check_step(dt: float) -> None:
+    if not 0 < dt < math.inf:
+        raise ValueError(f"grid step must be positive and finite (got dt = {dt})")
+
+
 class Profile:
     """Interface shared by all rate profiles."""
 
     def rate_at(self, t: float) -> float:
         """Instantaneous rate [veh/hr] at time t [hr]."""
+        raise NotImplementedError
+
+    def rates_on_grid(self, n: int, dt: float) -> list[float]:
+        """Exactly ``[rate_at(i * dt) for i in range(n)]``: the rates at the starts of n steps.
+
+        ``dt`` must be positive and finite.
+        """
         raise NotImplementedError
 
     def cumulative(self, t: float) -> float:
@@ -69,6 +86,10 @@ class Constant(Profile):
     def rate_at(self, t: float) -> float:
         _check_time(t)
         return self.rate
+
+    def rates_on_grid(self, n: int, dt: float) -> list[float]:
+        _check_step(dt)
+        return [self.rate] * n
 
     def cumulative(self, t: float) -> float:
         _check_time(t)
@@ -112,6 +133,16 @@ class PiecewiseConstant(Profile):
         _check_time(t)
         return self.rates[bisect_right(self.breakpoints, t) - 1]
 
+    def rates_on_grid(self, n: int, dt: float) -> list[float]:
+        _check_step(dt)
+        # Rate k covers the grid from the first i with i*dt >= breakpoints[k]; the
+        # products are compared as computed, so the split is rate_at's bisect exactly.
+        starts = [bisect_left(range(n), b, key=lambda i: i * dt) for b in self.breakpoints[1:]]
+        out: list[float] = []
+        for rate, lo, hi in zip(self.rates, [0, *starts], [*starts, n]):
+            out += [rate] * (hi - lo)
+        return out
+
     def cumulative(self, t: float) -> float:
         _check_time(t)
         i = bisect_right(self.breakpoints, t) - 1
@@ -149,6 +180,12 @@ class SineFloor(Profile):
     def rate_at(self, t: float) -> float:
         _check_time(t)
         return max(self.amplitude * math.sin(math.pi * t), self.floor)
+
+    def rates_on_grid(self, n: int, dt: float) -> list[float]:
+        _check_step(dt)
+        amplitude, floor, pi, sin = self.amplitude, self.floor, math.pi, math.sin
+        # max(x, floor) with the builtin's tie rule: x wins a tie.
+        return [floor if floor > (x := amplitude * sin(pi * (i * dt))) else x for i in range(n)]
 
     def cumulative(self, t: float) -> float:
         _check_time(t)

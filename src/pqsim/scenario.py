@@ -35,6 +35,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from fractions import Fraction
+from operator import sub
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -287,6 +288,20 @@ def _check_tandem(scenario: Scenario, name: str) -> None:
         _check_queue_bound(scenario, who, "dt", scenario.dt, member.model, member.spec.capacity)
 
 
+def _step_rates(scenario: Scenario, n: int, exact: bool = False):
+    """(delta, sigma) at the start of each of n steps, sampled once per run.
+
+    Iterate it in the ``for`` statement itself: the sampled lists then go
+    when the loop ends, before the run builds its time column, so they add
+    nothing to the run's peak memory.  ``exact`` yields Fractions.
+    """
+    deltas = scenario.demand.rates_on_grid(n, scenario.dt)
+    sigmas = scenario.supply.rates_on_grid(n, scenario.dt)
+    if exact:
+        return zip(map(Fraction, deltas), map(Fraction, sigmas))
+    return zip(deltas, sigmas)
+
+
 def _run_point(
     scenario: Scenario, name: str, exact: bool, relaxed: bool = False, model: PqModel | None = None
 ) -> Trajectory:
@@ -305,19 +320,22 @@ def _run_point(
         step, dt_or_cfg = approx._step_with_volumes, EpsilonConfig(scenario.epsilon, dt, unsafe=scenario.unsafe)
     else:
         step, dt_or_cfg = point_queue._step_with_volumes, conv(dt)
-    times, queues, arrs, deps, fin, fout = [], [], [], [], [], []
-    for i in range(n):
-        t = i * dt
-        times.append(t)
-        queues.append(float(state.queue))
-        arrs.append(float(state.arrivals))
-        deps.append(float(state.departures))
-        state, in_vol, out_vol = step(
-            variant, state, conv(scenario.demand.rate_at(t)), conv(scenario.supply.rate_at(t)), dt_or_cfg, cap, clamp
-        )
-        fin.append(float(in_vol) / dt)
-        fout.append(float(out_vol) / dt)
-    return Trajectory(name, dt, times, queues, arrs, deps, fin, fout)
+    queues, arrs, deps, fin, fout = [], [], [], [], []
+    for delta, sigma in _step_rates(scenario, n, exact):
+        _, lam, arrivals, departures = state
+        queues.append(lam)
+        arrs.append(arrivals)
+        deps.append(departures)
+        state, in_vol, out_vol = step(variant, state, delta, sigma, dt_or_cfg, cap, clamp)
+        fin.append(in_vol / dt)
+        fout.append(out_vol / dt)
+    # The formulation-A clamp floors lambda at int 0, and exact runs carry
+    # Fractions: every recorded value is written as a float.
+    queues = list(map(float, queues))
+    if exact:
+        arrs = list(map(float, arrs))
+        deps = list(map(float, deps))
+    return Trajectory(name, dt, [i * dt for i in range(n)], queues, arrs, deps, fin, fout)
 
 
 def _run_vickrey(scenario: Scenario, name: str, exact: bool) -> Trajectory:
@@ -335,17 +353,16 @@ def _run_link(scenario: Scenario, name: str, exact: bool) -> Trajectory:
         sim = sim_cls(scenario.link, scenario.link_initial, dt)
     except ValueError as exc:
         raise ValidationError(f"{scenario.source}: {exc}") from None
-    times, queues, arrs, deps, fin, fout = [], [], [], [], [], []
-    for i in range(n):
-        t = i * dt
-        times.append(t)
-        queues.append(sim.queue_size if name == "ltm" else sim.vehicles)
+    step = sim.step
+    queues, arrs, deps, fin, fout = [], [], [], [], []
+    for delta, sigma in _step_rates(scenario, n):
         arrs.append(sim.arrivals)
         deps.append(sim.departures)
-        in_vol, out_vol = sim.step(scenario.demand.rate_at(t), scenario.supply.rate_at(t))
+        in_vol, out_vol = step(delta, sigma)
+        queues.append(sim.step_queue)
         fin.append(in_vol / dt)
         fout.append(out_vol / dt)
-    return Trajectory(name, dt, times, queues, arrs, deps, fin, fout)
+    return Trajectory(name, dt, [i * dt for i in range(n)], queues, arrs, deps, fin, fout)
 
 
 def _run_tandem(scenario: Scenario) -> tuple[list[Trajectory], float]:
@@ -353,33 +370,30 @@ def _run_tandem(scenario: Scenario) -> tuple[list[Trajectory], float]:
     spec = scenario.tandem
     n = _step_count(scenario)
     dt = scenario.dt
-    clamp = not scenario.unsafe
     state = TandemState.initial(spec)
     m = len(spec.queues)
     initial_total = state.total
-    times = []
+    first_initial = spec.queues[0].spec.initial
     queues = [[] for _ in range(m)]
     arrs = [[] for _ in range(m)]
     deps = [[] for _ in range(m)]
     fin = [[] for _ in range(m)]
     fout = [[] for _ in range(m)]
+    columns = list(zip(queues, arrs, deps, fin, fout))
     worst_residual = 0.0
-    for i in range(n):
-        t = i * dt
-        times.append(t)
-        lams = state.queues
-        for k in range(m):
-            queues[k].append(lams[k])
-            arrs[k].append(state.arrivals[k])
-            deps[k].append(state.departures[k])
-        residual = abs(
-            sum(lams) - (initial_total + (state.arrivals[0] - spec.queues[0].spec.initial) - state.departures[-1])
-        )
-        worst_residual = max(worst_residual, residual)
-        state, fluxes = step_tandem(spec, state, scenario.demand.rate_at(t), scenario.supply.rate_at(t), dt, clamp)
-        for k in range(m):
-            fin[k].append(fluxes[k] / dt)
-            fout[k].append(fluxes[k + 1] / dt)
+    for delta, sigma in _step_rates(scenario, n):
+        _, arrivals, departures = state
+        lams = list(map(sub, arrivals, departures))
+        residual = abs(sum(lams) - (initial_total + (arrivals[0] - first_initial) - departures[-1]))
+        worst_residual = residual if residual > worst_residual else worst_residual
+        state, fluxes = step_tandem(spec, state, delta, sigma, dt)
+        for k, (q, f, g, f_in, f_out) in enumerate(columns):
+            q.append(lams[k])
+            f.append(arrivals[k])
+            g.append(departures[k])
+            f_in.append(fluxes[k] / dt)
+            f_out.append(fluxes[k + 1] / dt)
+    times = [i * dt for i in range(n)]
     trajectories = [
         Trajectory(f"queue{k + 1}", dt, list(times), queues[k], arrs[k], deps[k], fin[k], fout[k])
         for k in range(m)

@@ -19,6 +19,7 @@ from pathlib import Path
 __all__ = ["Trajectory", "TrajectoryStats", "sup_distance", "CSV_COLUMNS"]
 
 CSV_COLUMNS = ("t", "lambda", "F", "G", "f", "g")
+_CSV_ROW = ",".join(["{!r}"] * len(CSV_COLUMNS)) + "\r\n"
 
 # Queue levels at or below this count as "gone" when timing events.
 VANISH_EPS = 1e-9
@@ -96,12 +97,11 @@ class Trajectory:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            # The csv module writes a float as its repr.
-            writer.writerows(
-                zip(self.times, self.queue, self.arrivals, self.departures, self.inflow_rate, self.outflow_rate)
-            )
+            # What csv.writer writes for these columns: each number as its
+            # repr, comma-separated, rows ended by \r\n.
+            fh.write(",".join(CSV_COLUMNS) + "\r\n")
+            columns = (self.times, self.queue, self.arrivals, self.departures, self.inflow_rate, self.outflow_rate)
+            fh.writelines(map(_CSV_ROW.format, *columns))
         return path
 
     @classmethod

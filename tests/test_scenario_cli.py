@@ -359,3 +359,33 @@ class TestCachedParser:
         fresh = cli.build_parser().parse_args(["vickrey", scenario])
         assert vars(cli._parser().parse_args(["vickrey", scenario])) == vars(fresh)
         assert fresh.func is cli._cmd_vickrey and not hasattr(fresh, "models")
+
+
+STATIONARY = {"--delta": "2000", "--sigma": "1200", "--capacity": "200"}
+
+
+@pytest.mark.parametrize(
+    "flag, value, kind, model",
+    [
+        ("--delta", "nan", "nonnegative", None),
+        ("--delta", "-1", "nonnegative", None),
+        ("--sigma", "inf", "nonnegative", "pqm2"),
+        ("--sigma", "-5", "nonnegative", None),
+        ("--capacity", "inf", "positive", "pqm1"),
+        ("--capacity", "nan", "positive", None),
+        ("--capacity", "0", "positive", None),
+        ("--eps", "nan", "positive", "eps-pqm1"),
+        ("--eps", "inf", "positive", "eps-pqm2"),
+        ("--eps", "0", "positive", "eps-pqm3"),
+    ],
+)
+def test_bad_stationary_inputs_rejected_with_flag_named(capsys, flag, value, kind, model):
+    """A non-finite, negative rate or non-positive capacity/eps exits 2 naming its flag."""
+    args = {**STATIONARY, flag: value}
+    argv = ["stationary", *[item for pair in args.items() for item in pair]]
+    if model is not None:
+        argv += ["--model", model]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be {kind} and finite (got {float(value)!r})" in captured.err
