@@ -17,26 +17,20 @@ junction rule (flux = min of upstream demand and downstream supply):
 from .analytical import (
     StationaryResult,
     VickreySolution,
-    queueing_time,
     stationary_eps,
     stationary_exact,
     vickrey_closed_form,
 )
-from .approx import (
-    EpsilonConfig,
-    eps_demand_supply,
-    step_eps,
-)
+from .approx import EpsilonConfig, step_eps
 from .errors import PqsimError, ScenarioError, ValidationError
-from .link_models import LqmSimulation, LtmSimulation, lqm_demand_supply
-from .links import LinkParams, QueueSpec, triangular_flow
+from .link_models import LqmSimulation, LtmSimulation
+from .links import LinkParams, QueueSpec
 from .network import TandemQueue, TandemSpec, TandemState, step_tandem
 from .point_queue import (
     Formulation,
     PqModel,
     PqState,
     PqVariant,
-    discrete_demand_supply,
     step_pq,
     well_definedness_bound,
 )
@@ -46,7 +40,6 @@ from .profiles import (
     Profile,
     SineFloor,
     profile_from_dict,
-    profile_to_dict,
     sine_floor,
 )
 from .scenario import (
@@ -89,13 +82,8 @@ __all__ = [
     "ValidationError",
     "VickreySolution",
     "convergence_table",
-    "discrete_demand_supply",
-    "eps_demand_supply",
     "load_scenario",
-    "lqm_demand_supply",
     "profile_from_dict",
-    "profile_to_dict",
-    "queueing_time",
     "run_scenario",
     "scenario_from_dict",
     "simulate_model",
@@ -106,7 +94,6 @@ __all__ = [
     "step_pq",
     "step_tandem",
     "sup_distance",
-    "triangular_flow",
     "vickrey_closed_form",
     "well_definedness_bound",
 ]

@@ -57,7 +57,6 @@ __all__ = [
     "StationaryResult",
     "VickreySolution",
     "vickrey_closed_form",
-    "queueing_time",
     "stationary_exact",
     "stationary_eps",
 ]
@@ -141,17 +140,6 @@ def vickrey_closed_form(
         queue=tuple(queue),
         waiting=waiting,
     )
-
-
-def queueing_time(lam: float, sigma: float) -> float:
-    """Waiting time lam / sigma [hr] under a constant service rate sigma."""
-    if lam < 0:
-        raise ValueError(f"queue length must be nonnegative (got {lam})")
-    if sigma <= 0:
-        if lam > 0:
-            raise ValueError(f"queueing time is undefined for sigma = {sigma} with a nonempty queue")
-        return 0.0
-    return lam / sigma
 
 
 _NO_CONTINUOUS_FULL = (PqModel.PQM2, PqModel.PQM3)  # delta > sigma > 0

@@ -36,7 +36,6 @@ Both are :func:`step_eps` with ``capacity=None``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .point_queue import _CUMULATIVE, PqModel, PqState, PqVariant, _new_tuple
@@ -44,7 +43,6 @@ from .point_queue import _advance as point_queue_advance
 
 __all__ = [
     "EpsilonConfig",
-    "eps_demand_supply",
     "step_eps",
 ]
 
@@ -74,22 +72,6 @@ class EpsilonConfig:
             )
 
 
-def eps_demand_supply(variant: PqVariant | PqModel, lam, delta, sigma, eps, capacity):
-    """Relaxed demand and supply rates (d, s) [veh/hr].
-
-    Unbounded storage gives an infinite supply rate.
-    """
-    model = variant.model if isinstance(variant, PqVariant) else variant
-    if lam < 0 or (capacity is not None and lam > capacity):
-        raise ValueError(f"queue length {lam} outside [0, {capacity}]")
-    demand = delta + lam / eps if model.demand_includes_feed else lam / eps
-    if capacity is None:
-        return demand, math.inf
-    relax = (capacity - lam) / eps
-    supply = sigma + relax if model.supply_includes_service else relax
-    return demand, supply
-
-
 def _eps_advance(model: PqModel, lam, feed, service, capacity, ratio, clamp: bool):
     """One relaxed update; ``ratio`` is dt/eps (exactly 1 collapses to the exact model).
 
@@ -117,7 +99,7 @@ def _eps_advance(model: PqModel, lam, feed, service, capacity, ratio, clamp: boo
 
 
 def _step_with_volumes(variant, state, delta, sigma, cfg, capacity, clamp):
-    clock, lam, arrivals, departures = state
+    lam, arrivals, departures = state
     cumulative = variant.formulation is _CUMULATIVE
     if cumulative:
         lam = arrivals - departures
@@ -129,7 +111,7 @@ def _step_with_volumes(variant, state, delta, sigma, cfg, capacity, clamp):
     departures = departures + outflow
     if cumulative:
         lam_next = arrivals - departures
-    return _new_tuple(PqState, (clock + dt, lam_next, arrivals, departures)), inflow, outflow
+    return _new_tuple(PqState, (lam_next, arrivals, departures)), inflow, outflow
 
 
 def step_eps(

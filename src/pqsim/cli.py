@@ -133,29 +133,32 @@ def _check_stationary_inputs(args) -> None:
             raise ValidationError(f"stationary: {flag} must be {kind} and finite (got {value!r})")
 
 
+def _stationary_model(name: str, relaxed: bool) -> PqModel:
+    """The point-queue model ``--model`` names; a relaxed one may carry the ``eps-`` prefix."""
+    key = name.lower().removeprefix("eps-") if relaxed else name.lower()
+    try:
+        return PqModel(key)
+    except ValueError:
+        valid = ", ".join(("eps-" if relaxed else "") + m.value for m in PqModel)
+        raise ValidationError(f"stationary: --model must be one of {valid} (got {name!r})") from None
+
+
 def _cmd_stationary(args) -> int:
     _check_stationary_inputs(args)
     if args.eps is not None:
         if args.model is None:
             raise ValidationError("stationary with --eps needs --model (one of eps-pqm1..eps-pqm4)")
-        model = PqModel(args.model.lower().removeprefix("eps-"))
+        model = _stationary_model(args.model, relaxed=True)
         result = stationary_eps(model, args.delta, args.sigma, args.capacity, args.eps)
         print(f"eps-{model.label} stationary: {result.describe()}")
         return 0
-    model = PqModel(args.model.lower()) if args.model else None
+    model = _stationary_model(args.model, relaxed=False) if args.model else None
     result = stationary_exact(args.delta, args.sigma, args.capacity, model)
     label = f"{model.label} " if model else ""
     kind = "full" if result.is_point and result.queue_lo == args.capacity else (
         "empty" if result.is_point and result.queue_lo == 0 else "interval"
     )
     print(f"{label}stationary ({kind}): {result.describe()}")
-    return 0
-
-
-def _cmd_tandem(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.scenario), args)
-    report = run_scenario(scenario.with_overrides(model="tandem"), out_dir=args.out_dir)
-    _print_report(report)
     return 0
 
 
@@ -182,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run several models on one scenario and compare")
     add_common(p)
-    runnable = ", ".join(name for name, spec in MODELS.items() if spec.run is not None)
-    p.add_argument("--models", required=True, help=f"comma-separated subset of: {runnable}")
+    p.add_argument("--models", required=True, help=f"comma-separated subset of: {', '.join(MODELS)}")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("convergence", help="pairwise distances across a list of step sizes")
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tandem", help="run the scenario's queues in series")
     add_common(p)
-    p.set_defaults(func=_cmd_tandem)
+    p.set_defaults(func=_cmd_simulate, models="tandem")
 
     return parser
 

@@ -40,21 +40,13 @@ from __future__ import annotations
 
 from .links import LinkParams
 
-__all__ = ["LqmSimulation", "LtmSimulation", "lqm_demand_supply"]
+__all__ = ["LqmSimulation", "LtmSimulation"]
 
 
-def lqm_demand_supply(rho: float, params: LinkParams) -> tuple[float, float]:
-    """Delay-free link demand and supply rates (d, s) [veh/hr]."""
-    if not 0 <= rho <= params.storage:
-        raise ValueError(f"link content must lie in [0, {params.storage}] (got {rho})")
-    cap = params.capacity
-    d = rho / params.free_flow_time
-    s = (params.storage - rho) / params.wave_time
-    return (cap if cap < d else d), (cap if cap < s else s)
-
-
-def _check_step(dt: float) -> None:
-    """The structural check only; the dt <= min(T1, T2) bound is the scenario's to enforce."""
+def _check_start(params: LinkParams, initial_vehicles: float, dt: float) -> None:
+    """The structural checks only; the dt <= min(T1, T2) bound is the scenario's to enforce."""
+    if not 0 <= initial_vehicles <= params.storage:
+        raise ValueError(f"initial content must lie in [0, {params.storage}] (got {initial_vehicles})")
     if dt <= 0:
         raise ValueError(f"dt must be positive (got {dt})")
 
@@ -66,33 +58,19 @@ class LqmSimulation:
     """
 
     def __init__(self, params: LinkParams, initial_vehicles: float, dt: float):
-        if not 0 <= initial_vehicles <= params.storage:
-            raise ValueError(
-                f"initial content must lie in [0, {params.storage}] (got {initial_vehicles})"
-            )
-        _check_step(dt)
+        _check_start(params, initial_vehicles, dt)
         self.params = params
         self.dt = dt
         self.arrivals = initial_vehicles  # F
         self.departures = 0.0  # G
         self.step_queue = None
-        self._steps = 0
         # What the step reads of params, taken once.
         self._rate_terms = (params.free_flow_time, params.wave_time, params.storage, params.capacity)
-
-    @property
-    def clock(self) -> float:
-        return self._steps * self.dt
-
-    @property
-    def vehicles(self) -> float:
-        """Current content rho = F - G [veh]."""
-        return self.arrivals - self.departures
 
     def step(self, delta: float, sigma: float) -> tuple[float, float]:
         """Advance one step; returns (inflow, outflow) volumes [veh].
 
-        The rates are those of :func:`lqm_demand_supply`, unchecked: within
+        The rates d and s are the module docstring's, unchecked: within
         dt <= min(T1, T2) the step keeps rho in [0, storage], and an unsafe
         run past that bound shows where rho goes instead of stopping.
         """
@@ -107,7 +85,6 @@ class LqmSimulation:
         self.arrivals += inflow
         self.departures += outflow
         self.step_queue = rho
-        self._steps += 1
         return inflow, outflow
 
 
@@ -120,11 +97,7 @@ class LtmSimulation:
     """
 
     def __init__(self, params: LinkParams, initial_vehicles: float, dt: float):
-        if not 0 <= initial_vehicles <= params.storage:
-            raise ValueError(
-                f"initial content must lie in [0, {params.storage}] (got {initial_vehicles})"
-            )
-        _check_step(dt)
+        _check_start(params, initial_vehicles, dt)
         self.params = params
         self.dt = dt
         self.initial_vehicles = initial_vehicles
@@ -133,7 +106,6 @@ class LtmSimulation:
         self.step_queue = None
         self._arrivals = [initial_vehicles]  # F on the grid from t = 0
         self._departures = [0.0]  # G on the grid from t = 0
-        self._steps = 0
         # What the step reads of params, taken once: the two delays, the
         # storage, and the slope of G's virtual seed.
         self._delays = (params.free_flow_time, params.wave_time)
@@ -141,26 +113,8 @@ class LtmSimulation:
         self._seed_outflow = (params.storage - initial_vehicles) / params.wave_time
         self._cap_volume = params.capacity * dt
 
-    @property
-    def clock(self) -> float:
-        return self._steps * self.dt
-
-    @property
-    def vehicles(self) -> float:
-        return self.arrivals - self.departures
-
-    @property
-    def queue_size(self) -> float:
-        """Downstream queue F(t - T1) - G(t) [veh]."""
-        return self._volumes()[0]
-
-    @property
-    def vacancy(self) -> float:
-        """Upstream vacancy G(t - T2) + storage - F(t) [veh]."""
-        return self._volumes()[1]
-
-    def _volumes(self) -> tuple[float, float, float, float]:
-        """(queue_size, vacancy, demand, supply) [veh] for the next step.
+    def _volumes(self) -> tuple[float, float, float]:
+        """(queue, demand, supply) [veh] for the next step.
 
         Four delayed reads: F and G at t - T1 (t - T2) and one step later,
         interpolated linearly in the histories for s > 0 and taken from the
@@ -168,7 +122,7 @@ class LtmSimulation:
         and shared by the queue, the vacancy and the volumes.
         """
         dt = self.dt
-        last = self._steps  # index of F(t) and G(t) in the histories
+        last = len(self._arrivals) - 1  # index of F(t) and G(t) in the histories
         t = last * dt
         t1, t2 = self._delays
         series = self._arrivals
@@ -214,15 +168,11 @@ class LtmSimulation:
         demand = cap_volume if cap_volume < demand else demand
         supply = (d_hi - d_lo) + vacancy
         supply = cap_volume if cap_volume < supply else supply
-        return queue, vacancy, demand, supply
-
-    def demand_supply_volumes(self) -> tuple[float, float]:
-        """Demand and supply volumes (d*dt, s*dt) [veh] for the next step."""
-        return self._volumes()[2:]
+        return queue, demand, supply
 
     def step(self, delta: float, sigma: float) -> tuple[float, float]:
         """Advance one step; returns (inflow, outflow) volumes [veh]."""
-        queue, _, demand, supply = self._volumes()
+        queue, demand, supply = self._volumes()
         dt = self.dt
         inflow = delta * dt
         inflow = supply if supply < inflow else inflow
@@ -233,5 +183,4 @@ class LtmSimulation:
         self._arrivals.append(self.arrivals)
         self._departures.append(self.departures)
         self.step_queue = queue
-        self._steps += 1
         return inflow, outflow

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-__all__ = ["LinkParams", "QueueSpec", "triangular_flow"]
+__all__ = ["LinkParams", "QueueSpec"]
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,6 @@ class LinkParams:
         return self.storage / self.traverse_time
 
 
-def triangular_flow(params: LinkParams, density: float) -> float:
-    """Flow rate q(k) = min(V*k, (N*K - k)*W) [veh/hr] on the whole link.
-
-    ``density`` is the total density [veh/mi] across all lanes, valid on
-    [0, N*K].  The maximum N*U*K is attained at k = N*K*W/(V+W).
-    """
-    jam = params.lanes * params.jam_density
-    if not 0 <= density <= jam:
-        raise ValueError(f"density must lie in [0, {jam}] (got {density})")
-    return min(params.free_flow_speed * density, (jam - density) * params.wave_speed)
-
-
 @dataclass(frozen=True)
 class QueueSpec:
     """Point-queue storage description.
@@ -104,7 +92,3 @@ class QueueSpec:
     @classmethod
     def unbounded(cls, initial: float = 0.0) -> "QueueSpec":
         return cls(capacity=None, initial=initial)
-
-    @property
-    def is_unbounded(self) -> bool:
-        return self.capacity is None

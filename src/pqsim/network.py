@@ -71,22 +71,17 @@ class TandemSpec:
 class TandemState(NamedTuple):
     """Cumulative inflow/outflow per queue; queue lengths are derived."""
 
-    clock: float
     arrivals: list[float]
     departures: list[float]
 
     @classmethod
-    def initial(cls, spec: TandemSpec, clock: float = 0.0) -> "TandemState":
+    def initial(cls, spec: TandemSpec) -> "TandemState":
         contents = [q.spec.initial for q in spec.queues]
-        return cls(clock, list(contents), [c * 0 for c in contents])
+        return cls(list(contents), [c * 0 for c in contents])
 
     @property
     def queues(self) -> list[float]:
         return list(map(sub, self.arrivals, self.departures))
-
-    @property
-    def total(self) -> float:
-        return sum(self.queues)
 
 
 def step_tandem(spec: TandemSpec, state: TandemState, delta, sigma, dt) -> tuple[TandemState, list]:
@@ -96,7 +91,7 @@ def step_tandem(spec: TandemSpec, state: TandemState, delta, sigma, dt) -> tuple
     inter-queue flux, destination outflow (length = number of queues + 1).
     The state is cumulative, so there is no queue length to clamp.
     """
-    clock, arrivals, departures = state
+    arrivals, departures = state
     lams = list(map(sub, arrivals, departures))
     # Demand volumes propagate origin-to-destination: each queue's feed is
     # its upstream neighbour's demand volume.
@@ -123,4 +118,4 @@ def step_tandem(spec: TandemSpec, state: TandemState, delta, sigma, dt) -> tuple
     fluxes = [d if s is None else (s if s < d else d) for d, s in zip(demands, supplies)]
     arrivals = list(map(add, arrivals, fluxes))
     departures = list(map(add, departures, fluxes[1:]))
-    return _new_tuple(TandemState, (clock + dt, arrivals, departures)), fluxes
+    return _new_tuple(TandemState, (arrivals, departures)), fluxes

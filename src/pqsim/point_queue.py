@@ -53,7 +53,6 @@ __all__ = [
     "Formulation",
     "PqVariant",
     "PqState",
-    "discrete_demand_supply",
     "step_pq",
     "well_definedness_bound",
 ]
@@ -85,10 +84,6 @@ class PqVariant:
     model: PqModel
     formulation: Formulation = Formulation.QUEUE
 
-    @property
-    def label(self) -> str:
-        return f"{self.formulation.value}-{self.model.label}"
-
 
 class PqState(NamedTuple):
     """Point-queue state: queue length plus cumulative in/out flows.
@@ -99,14 +94,13 @@ class PqState(NamedTuple):
     new state.
     """
 
-    clock: float
     queue: float
     arrivals: float  # F, cumulative inflow [veh]
     departures: float  # G, cumulative outflow [veh]
 
     @classmethod
-    def initial(cls, content, clock=0.0) -> "PqState":
-        return cls(clock, content, content, content * 0)
+    def initial(cls, content) -> "PqState":
+        return cls(content, content, content * 0)
 
 
 def _advance(model: PqModel, lam, feed, service, capacity, clamp: bool):
@@ -116,9 +110,10 @@ def _advance(model: PqModel, lam, feed, service, capacity, clamp: bool):
     accepted downstream during the step (service None = unlimited).  The
     drained term resolves lam - outflow algebraically so that a queue
     hitting a floor or ceiling lands on the exact value (0, feed,
-    capacity - service, ...) instead of accumulating round-off.  The volumes
-    are those of :func:`discrete_demand_supply`; the supply is None when
-    unlimited (``capacity`` None, or ``service`` None in PQM1/PQM4).
+    capacity - service, ...) instead of accumulating round-off.  The demand
+    and supply volumes are those of the module docstring's table; the supply
+    is None when unlimited (``capacity`` None, or ``service`` None in
+    PQM1/PQM4).
     """
     with_feed = model.demand_includes_feed
     if capacity is None:
@@ -149,29 +144,12 @@ def _advance(model: PqModel, lam, feed, service, capacity, clamp: bool):
     return lam_next, inflow, outflow
 
 
-def discrete_demand_supply(variant: PqVariant | PqModel, lam, delta, sigma, dt, capacity):
-    """Demand and supply volumes (d*dt, s*dt) [veh] for one step.
-
-    ``delta`` and ``sigma`` are the origin demand and destination supply
-    rates [veh/hr]; ``capacity`` of None means unbounded storage, in which
-    case the supply volume is infinite.
-    """
-    model = variant.model if isinstance(variant, PqVariant) else variant
-    if lam < 0 or (capacity is not None and lam > capacity):
-        raise ValueError(f"queue length {lam} outside [0, {capacity}]")
-    dvol = delta * dt + lam if model.demand_includes_feed else lam
-    if capacity is None:
-        return dvol, math.inf
-    room = capacity - lam
-    return dvol, sigma * dt + room if model.supply_includes_service else room
-
-
 _CUMULATIVE = Formulation.CUMULATIVE
 _new_tuple = tuple.__new__  # builds a state tuple without NamedTuple.__new__'s Python frame
 
 
 def _step_with_volumes(variant, state, delta, sigma, dt, capacity, clamp):
-    clock, lam, arrivals, departures = state
+    lam, arrivals, departures = state
     cumulative = variant.formulation is _CUMULATIVE
     if cumulative:
         lam = arrivals - departures
@@ -180,7 +158,7 @@ def _step_with_volumes(variant, state, delta, sigma, dt, capacity, clamp):
     departures = departures + outflow
     if cumulative:
         lam_next = arrivals - departures
-    return _new_tuple(PqState, (clock + dt, lam_next, arrivals, departures)), inflow, outflow
+    return _new_tuple(PqState, (lam_next, arrivals, departures)), inflow, outflow
 
 
 def step_pq(

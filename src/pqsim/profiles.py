@@ -37,7 +37,6 @@ __all__ = [
     "SineFloor",
     "sine_floor",
     "profile_from_dict",
-    "profile_to_dict",
 ]
 
 
@@ -243,17 +242,3 @@ def profile_from_dict(spec: dict) -> Profile:
     except KeyError as missing:
         raise ValueError(f"profile of type {kind!r} is missing field {missing.args[0]!r}") from None
     raise ValueError(f"unknown profile type {kind!r}")
-
-
-def profile_to_dict(profile: Profile) -> dict:
-    if isinstance(profile, Constant):
-        return {"type": "constant", "rate": profile.rate}
-    if isinstance(profile, PiecewiseConstant):
-        return {
-            "type": "piecewise_constant",
-            "breakpoints": list(profile.breakpoints),
-            "rates": list(profile.rates),
-        }
-    if isinstance(profile, SineFloor):
-        return {"type": "sine_floor", "amplitude": profile.amplitude, "floor": profile.floor}
-    raise TypeError(f"cannot serialize profile {profile!r}")

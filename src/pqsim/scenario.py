@@ -20,22 +20,25 @@ records ordered origin to destination).  Optional fields: ``formulation``
 ("A" queue-length state, "B" cumulative-flow state), ``epsilon``,
 ``unsafe`` (run despite violated admissibility bounds), ``output``.
 ``MODELS`` is the one table of models: per name, the fields it needs, its
-admissibility check and its runner.
+admissibility check, its runner and, optionally, its report notes.  Every
+runner returns a list of trajectories: one for a point or link model, one
+per queue for a tandem, so every model runs through the same path.
 
-Every run validates the relevant admissibility bound first and reports the
-violated bound by name; ``unsafe`` skips only those bound checks, never
-structural ones.  Runs are deterministic: identical scenarios produce
-byte-identical CSV files.
+Every run validates the grid (dt, horizon, a whole number of at most
+``MAX_STEPS`` steps) and the relevant admissibility bound first and
+reports the violated bound by name; ``unsafe`` skips only those bound
+checks, never structural ones.  Runs are deterministic: identical
+scenarios produce byte-identical CSV files.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from fractions import Fraction
-from operator import sub
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -46,7 +49,7 @@ from .link_models import LqmSimulation, LtmSimulation
 from .links import LinkParams, QueueSpec
 from .network import TandemQueue, TandemSpec, TandemState, step_tandem
 from .point_queue import Formulation, PqModel, PqState, PqVariant, well_definedness_bound
-from .profiles import Profile, profile_from_dict, profile_to_dict
+from .profiles import Profile, profile_from_dict
 from .trajectory import Trajectory, TrajectoryStats, sup_distance
 
 __all__ = [
@@ -213,13 +216,18 @@ def load_scenario(path: str | Path) -> Scenario:
 
 # The step and time fields a run cannot start without, and the CLI flag that overrides each.
 _POSITIVE = {"dt": "--dt/--dt-list", "horizon": "--horizon", "epsilon": "--eps"}
+# Most steps one run may take: 50 times the 2e5 steps of the longest acceptance runs.
+MAX_STEPS = 10**7
 
 
 def check_grid(scenario: Scenario) -> None:
-    """Raise unless dt, horizon and (when set) epsilon are positive and finite.
+    """Raise unless the run's grid is sound.
 
-    Structural, not a bound: ``unsafe`` does not skip it.  A JSON scenario
-    cannot hold NaN or infinity, but the CLI overrides can.
+    dt, horizon and (when set) epsilon must be positive and finite, and the
+    horizon a whole number of at most ``MAX_STEPS`` steps, checked before
+    anything is allocated.  Structural, not a bound: ``unsafe`` does not
+    skip it.  A JSON scenario cannot hold NaN or infinity, but the CLI
+    overrides can.
     """
     for name, flag in _POSITIVE.items():
         value = getattr(scenario, name)
@@ -227,15 +235,17 @@ def check_grid(scenario: Scenario) -> None:
             raise ValidationError(
                 f"{scenario.source}: {name} must be positive and finite (got {value!r}; set by field '{name}' or {flag})"
             )
-
-
-def _step_count(scenario: Scenario) -> int:
-    n = round(scenario.horizon / scenario.dt)
-    if n < 1:
-        raise ValidationError(
-            f"{scenario.source}: horizon {scenario.horizon} shorter than one step dt={scenario.dt}"
-        )
-    return n
+    dt, horizon = scenario.dt, scenario.horizon
+    steps = horizon / dt
+    if steps > MAX_STEPS:
+        problem = f"horizon/dt = {horizon:g}/{dt:g} exceeds {MAX_STEPS} steps"
+    elif abs(round(steps) * dt - horizon) > 1e-9 * horizon:
+        problem = f"horizon {horizon:g} hr is not a whole number of steps dt = {dt:g} hr"
+    else:
+        return
+    raise ValidationError(
+        f"{scenario.source}: {problem} (set by fields 'dt' and 'horizon', or {_POSITIVE['dt']} and {_POSITIVE['horizon']})"
+    )
 
 
 # How a missing-field message words each Scenario field a model can need.
@@ -304,13 +314,13 @@ def _step_rates(scenario: Scenario, n: int, exact: bool = False):
 
 def _run_point(
     scenario: Scenario, name: str, exact: bool, relaxed: bool = False, model: PqModel | None = None
-) -> Trajectory:
+) -> list[Trajectory]:
     if exact and relaxed:
         raise ValidationError("exact arithmetic is supported for the exact point models only")
     queue = scenario.queue
     variant = PqVariant(model or _pq_model(name, scenario.source), scenario.formulation)
-    n = _step_count(scenario)
     dt = scenario.dt
+    n = round(scenario.horizon / dt)
     clamp = not scenario.unsafe
     conv = Fraction if exact else float
     cap = queue.capacity if queue.capacity is None else conv(queue.capacity)
@@ -322,7 +332,7 @@ def _run_point(
         step, dt_or_cfg = point_queue._step_with_volumes, conv(dt)
     queues, arrs, deps, fin, fout = [], [], [], [], []
     for delta, sigma in _step_rates(scenario, n, exact):
-        _, lam, arrivals, departures = state
+        lam, arrivals, departures = state
         queues.append(lam)
         arrs.append(arrivals)
         deps.append(departures)
@@ -335,19 +345,19 @@ def _run_point(
     if exact:
         arrs = list(map(float, arrs))
         deps = list(map(float, deps))
-    return Trajectory(name, dt, [i * dt for i in range(n)], queues, arrs, deps, fin, fout)
+    return [Trajectory(name, dt, [i * dt for i in range(n)], queues, arrs, deps, fin, fout)]
 
 
-def _run_vickrey(scenario: Scenario, name: str, exact: bool) -> Trajectory:
+def _run_vickrey(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
     """PQM1 with unbounded storage; a 'queue' section only sets the initial content."""
     initial = 0.0 if scenario.queue is None else scenario.queue.initial
     return _run_point(replace(scenario, queue=QueueSpec.unbounded(initial)), name, exact, model=PqModel.PQM1)
 
 
-def _run_link(scenario: Scenario, name: str, exact: bool) -> Trajectory:
+def _run_link(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
     """Link models run in floats; ``exact`` does not apply to them."""
-    n = _step_count(scenario)
     dt = scenario.dt
+    n = round(scenario.horizon / dt)
     sim_cls = LtmSimulation if name == "ltm" else LqmSimulation
     try:
         sim = sim_cls(scenario.link, scenario.link_initial, dt)
@@ -362,43 +372,55 @@ def _run_link(scenario: Scenario, name: str, exact: bool) -> Trajectory:
         queues.append(sim.step_queue)
         fin.append(in_vol / dt)
         fout.append(out_vol / dt)
-    return Trajectory(name, dt, [i * dt for i in range(n)], queues, arrs, deps, fin, fout)
+    return [Trajectory(name, dt, [i * dt for i in range(n)], queues, arrs, deps, fin, fout)]
 
 
-def _run_tandem(scenario: Scenario) -> tuple[list[Trajectory], float]:
-    """Run a tandem; returns per-queue trajectories and the worst conservation residual."""
+def _run_tandem(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
+    """One trajectory per queue, origin to destination; like the link models, it runs in floats."""
     spec = scenario.tandem
-    n = _step_count(scenario)
     dt = scenario.dt
+    n = round(scenario.horizon / dt)
     state = TandemState.initial(spec)
     m = len(spec.queues)
-    initial_total = state.total
-    first_initial = spec.queues[0].spec.initial
     queues = [[] for _ in range(m)]
     arrs = [[] for _ in range(m)]
     deps = [[] for _ in range(m)]
     fin = [[] for _ in range(m)]
     fout = [[] for _ in range(m)]
     columns = list(zip(queues, arrs, deps, fin, fout))
-    worst_residual = 0.0
     for delta, sigma in _step_rates(scenario, n):
-        _, arrivals, departures = state
-        lams = list(map(sub, arrivals, departures))
-        residual = abs(sum(lams) - (initial_total + (arrivals[0] - first_initial) - departures[-1]))
-        worst_residual = residual if residual > worst_residual else worst_residual
+        arrivals, departures = state
         state, fluxes = step_tandem(spec, state, delta, sigma, dt)
         for k, (q, f, g, f_in, f_out) in enumerate(columns):
-            q.append(lams[k])
+            q.append(arrivals[k] - departures[k])
             f.append(arrivals[k])
             g.append(departures[k])
             f_in.append(fluxes[k] / dt)
             f_out.append(fluxes[k + 1] / dt)
     times = [i * dt for i in range(n)]
-    trajectories = [
+    return [
         Trajectory(f"queue{k + 1}", dt, list(times), queues[k], arrs[k], deps[k], fin[k], fout[k])
         for k in range(m)
     ]
-    return trajectories, worst_residual
+
+
+def _tandem_notes(scenario: Scenario, trajectories: list[Trajectory]) -> dict:
+    """The worst conservation residual over the recorded rows, and whether the variants differ.
+
+    A row's residual is |sum of contents - (initial total + origin inflow - destination outflow)|.
+    """
+    first, last = trajectories[0], trajectories[-1]
+    initial_total = sum(t.queue[0] for t in trajectories)
+    first_initial = first.arrivals[0]
+    totals = map(sum, zip(*(t.queue for t in trajectories)))
+    residuals = (
+        abs(total - (initial_total + (f - first_initial) - g))
+        for total, f, g in zip(totals, first.arrivals, last.departures)
+    )
+    return {
+        "max_conservation_residual": max(residuals, default=0.0),
+        "mixed_variant_tandem": scenario.tandem.mixed_models,
+    }
 
 
 class ModelSpec(NamedTuple):
@@ -407,13 +429,15 @@ class ModelSpec(NamedTuple):
     ``needs`` names the Scenario fields the model cannot run without,
     ``check(scenario, name)`` raises when its admissibility bound is
     violated (``unsafe`` skips it), and ``run(scenario, name, exact)``
-    returns its trajectory.  The tandem has no ``run``: it yields one
-    trajectory per queue, so it runs only as a whole scenario.
+    returns its trajectories: one for a point or link model, one per queue
+    for a tandem.  ``notes(scenario, trajectories)``, when set, returns
+    report lines computed from the recorded columns after the run.
     """
 
     needs: tuple[str, ...]
     check: Callable[[Scenario, str], None] | None
-    run: Callable[[Scenario, str, bool], Trajectory] | None
+    run: Callable[[Scenario, str, bool], list[Trajectory]]
+    notes: Callable[[Scenario, list[Trajectory]], dict] | None = None
 
 
 MODELS: dict[str, ModelSpec] = {
@@ -424,7 +448,7 @@ MODELS: dict[str, ModelSpec] = {
     },
     **{name: ModelSpec(("link",), _check_link, _run_link) for name in ("ltm", "lqm")},
     "vickrey": ModelSpec((), None, _run_vickrey),
-    "tandem": ModelSpec(("tandem",), _check_tandem, None),
+    "tandem": ModelSpec(("tandem",), _check_tandem, _run_tandem, _tandem_notes),
 }
 MODEL_NAMES = tuple(MODELS)
 
@@ -443,29 +467,23 @@ def validate_model(scenario: Scenario, model_name: str) -> None:
         spec.check(scenario, name)
 
 
-def simulate_model(scenario: Scenario, model_name: str | None = None, exact: bool = False) -> Trajectory:
-    """Validate and run one model of a scenario, returning its trajectory.
+def simulate_model(scenario: Scenario, model_name: str | None = None, exact: bool = False) -> list[Trajectory]:
+    """Validate and run one model of a scenario, returning its trajectories.
 
+    One trajectory for a point or link model, one per queue for a tandem.
     ``exact=True`` runs the exact point-queue models on dyadic-rational
     arithmetic (``fractions.Fraction``), under which formulations A and B
     coincide identically; outputs are converted back to floats.
     """
     name = (model_name or scenario.model).lower()
     validate_model(scenario, name)
-    run = MODELS[name].run
-    if run is None:
-        raise ValidationError(
-            f"{scenario.source}: model {name!r} yields one trajectory per queue; use the 'pqsim {name}' subcommand"
-        )
-    return run(scenario, name, exact)
+    return MODELS[name].run(scenario, name, exact)
 
 
 @dataclass
 class RunReport:
-    """Everything a run produced: trajectories, stats, distances, files."""
+    """Everything a run produced: trajectories, stats, distances, notes, files."""
 
-    model: str
-    dt: float
     trajectories: dict[str, Trajectory]
     stats: dict[str, TrajectoryStats]
     distances: dict[tuple[str, str], float] = field(default_factory=dict)
@@ -495,40 +513,29 @@ def run_scenario(
 ) -> RunReport:
     """Run a scenario (every model in ``models``, or its own), write CSVs.
 
-    Tandem scenarios produce one trajectory per queue plus a conservation
-    residual in the report metadata.
+    Trajectories are keyed by label: the model name, or ``queue1``..
+    ``queueN`` for a tandem.  When more than one model is named, every
+    pair of trajectories gets its sup distance.  A model's notes (a
+    tandem's conservation residual) go into the report metadata.
     """
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
     if out_dir is None and scenario.output is not None:
         out_dir = scenario.output
-    if scenario.model == "tandem" and models is None:
-        validate_model(scenario, "tandem")
-        trajectories, residual = _run_tandem(scenario)
-        report = RunReport(
-            model="tandem",
-            dt=scenario.dt,
-            trajectories={t.label: t for t in trajectories},
-            stats={t.label: t.stats() for t in trajectories},
-            metadata={
-                "max_conservation_residual": residual,
-                "mixed_variant_tandem": scenario.tandem.mixed_models,
-            },
-        )
-    else:
-        names = [m.lower() for m in (models or [scenario.model])]
-        trajectories = {name: simulate_model(scenario, name, exact=exact) for name in names}
-        distances = {}
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                distances[(a, b)] = sup_distance(trajectories[a], trajectories[b])
-        report = RunReport(
-            model=scenario.model,
-            dt=scenario.dt,
-            trajectories=trajectories,
-            stats={name: trajectories[name].stats() for name in names},
-            distances=distances,
-        )
+    names = [m.lower() for m in (models or [scenario.model])]
+    runs, metadata = [], {}
+    for name in names:
+        produced = simulate_model(scenario, name, exact=exact)
+        runs += produced
+        notes = MODELS[name].notes
+        if notes is not None:
+            metadata.update(notes(scenario, produced))
+    distances = {}
+    if len(names) > 1:
+        distances = {(a.label, b.label): sup_distance(a, b) for a, b in combinations(runs, 2)}
+    trajectories = {t.label: t for t in runs}
+    stats = {label: t.stats() for label, t in trajectories.items()}
+    report = RunReport(trajectories, stats, distances, metadata)
     if out_dir is not None:
         for label, traj in report.trajectories.items():
             report.csv_paths[label] = traj.write_csv(Path(out_dir) / f"{label.replace('/', '_')}.csv")
@@ -548,29 +555,3 @@ def convergence_table(
         report = run_scenario(scenario.with_overrides(dt=dt), models=models)
         rows.append({"dt": dt, "max_distance": report.max_distance})
     return rows
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Serializable form of a scenario (used by reports and tests)."""
-    doc: dict = {
-        "model": scenario.model,
-        "demand": profile_to_dict(scenario.demand),
-        "supply": profile_to_dict(scenario.supply),
-        "dt": scenario.dt,
-        "horizon": scenario.horizon,
-    }
-    if scenario.queue is not None:
-        doc["queue"] = asdict(scenario.queue)
-    if scenario.link is not None:
-        doc["link"] = {**asdict(scenario.link), "initial": scenario.link_initial}
-    if scenario.tandem is not None:
-        doc["queues"] = [{**asdict(q.spec), "model": q.model.value} for q in scenario.tandem.queues]
-    if scenario.epsilon is not None:
-        doc["epsilon"] = scenario.epsilon
-    if scenario.formulation is not Formulation.QUEUE:
-        doc["formulation"] = scenario.formulation.value
-    if scenario.unsafe:
-        doc["unsafe"] = True
-    if scenario.output is not None:
-        doc["output"] = scenario.output
-    return doc

@@ -105,7 +105,7 @@ def test_criterion_03_equivalence_under_refinement():
 
 def test_criterion_04_event_timing():
     """Onset, dissipation start and vanish times from a dt = 1e-5 reference run."""
-    traj = simulate_model(rush(dt=1e-5))
+    (traj,) = simulate_model(rush(dt=1e-5))
     stats = traj.stats()
     onset = math.asin(0.6) / math.pi
     assert stats.first_positive_time == pytest.approx(onset, abs=0.01)
@@ -177,8 +177,10 @@ def test_criterion_06_complementarity():
                 "horizon": horizon,
             }
         )
-        runs.append((simulate_model(scenario), demand.max_rate, sigma))
-    runs.append((simulate_model(rush(model="vickrey")), DEMAND_MAX, SIGMA))
+        (traj,) = simulate_model(scenario)
+        runs.append((traj, demand.max_rate, sigma))
+    (traj,) = simulate_model(rush(model="vickrey"))
+    runs.append((traj, DEMAND_MAX, SIGMA))
     for traj, delta_max, sigma in runs:
         for q, g in zip(traj.queue, traj.outflow_rate):
             assert q <= delta_max * traj.dt or abs(g - sigma) <= 1e-9
@@ -378,8 +380,8 @@ def test_criterion_10_formulation_identity():
     """Queue-state and cumulative-state formulations coincide bit for bit on
     the rush-hour scenario under exact (dyadic rational) arithmetic."""
     for name in ("pqm1", "pqm2", "pqm3", "pqm4"):
-        a = simulate_model(rush(model=name, formulation=Formulation.QUEUE), exact=True)
-        b = simulate_model(rush(model=name, formulation=Formulation.CUMULATIVE), exact=True)
+        (a,) = simulate_model(rush(model=name, formulation=Formulation.QUEUE), exact=True)
+        (b,) = simulate_model(rush(model=name, formulation=Formulation.CUMULATIVE), exact=True)
         assert a.queue == b.queue  # b's queue is F - G by construction
         assert a.arrivals == b.arrivals
         assert a.departures == b.departures

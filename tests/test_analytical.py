@@ -13,7 +13,6 @@ from pqsim import (
     PqState,
     PqVariant,
     ValidationError,
-    queueing_time,
     sine_floor,
     stationary_eps,
     stationary_exact,
@@ -116,16 +115,20 @@ class TestVickreyClosedForm:
 
 
 class TestQueueingTime:
+    """The closed form's waiting series pi = lambda / sigma under a constant supply."""
+
     def test_no_queue_no_wait(self):
-        assert queueing_time(0.0, 1200) == 0.0
+        sol = vickrey_closed_form(Constant(1000), Constant(1200), 0.01, 1.0)
+        assert set(sol.queue) == set(sol.waiting) == {0.0}
 
     def test_direct_division(self):
-        assert queueing_time(120.0, 1200) == pytest.approx(0.1)
+        """Demand 2400 over supply 1200 for 0.1 hr queues 120 veh, a 0.1 hr wait."""
+        sol = vickrey_closed_form(Constant(2400), Constant(1200), 0.01, 0.1)
+        assert sol.queue[-1] == pytest.approx(120.0)
+        assert sol.waiting[-1] == pytest.approx(0.1)
 
     def test_undefined_for_zero_service(self):
-        with pytest.raises(ValueError):
-            queueing_time(5.0, 0.0)
-        assert queueing_time(0.0, 0.0) == 0.0
+        assert vickrey_closed_form(Constant(1000), Constant(0), 0.01, 1.0).waiting is None
 
     def test_departure_matches_delayed_arrival(self):
         """F(t) = G(t + pi(t)) up to one step's service volume."""
@@ -133,8 +136,7 @@ class TestQueueingTime:
         dt = 0.001
         sol = vickrey_closed_form(demand, supply, dt, 2.0)
         for i in range(0, len(sol.grid), 7):
-            pi = queueing_time(sol.queue[i], supply.rate)
-            target = sol.grid[i] + pi
+            target = sol.grid[i] + sol.waiting[i]
             if target >= sol.grid[-1]:
                 continue
             pos = target / dt

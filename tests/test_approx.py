@@ -13,11 +13,11 @@ from pqsim import (
     PqModel,
     PqState,
     PqVariant,
-    eps_demand_supply,
     step_eps,
     step_pq,
     well_definedness_bound,
 )
+from pqsim.approx import _eps_advance
 
 ALL_MODELS = list(PqModel)
 
@@ -33,26 +33,23 @@ def run_eps(model, rates, cfg, capacity, initial=0.0, clamp=True):
 
 
 class TestDemandSupplyRates:
+    """Hand-worked relaxed rates, as volumes through ``_eps_advance`` at dt/eps = 0.5."""
+
     def test_empty_queue_full_relaxation_headroom(self):
-        """eps-PQM1: (1000 + 0/eps, 1200 + 200/0.001)."""
-        d, s = eps_demand_supply(PqModel.PQM1, 0.0, 1000, 1200, 0.001, 200.0)
-        assert (d, s) == (1000.0, 201200.0)
+        """eps-PQM1 at 0: demand 1 + 0, supply 1.5 + 200 * 0.5, so inflow 1 and outflow min(1.5, 1)."""
+        assert _eps_advance(PqModel.PQM1, 0.0, 1.0, 1.5, 200.0, 0.5, True) == (0.0, 1.0, 1.0)
 
     def test_full_queue_supply_vanishes(self):
-        _, s = eps_demand_supply(PqModel.PQM2, 200.0, 1000, 1200, 0.001, 200.0)
-        assert s == 0.0
+        """eps-PQM2 at capacity: supply (200 - 200) * 0.5 = 0, demand 200 * 0.5 = 100."""
+        assert _eps_advance(PqModel.PQM2, 200.0, 1.0, 1.5, 200.0, 0.5, True) == (198.5, 0.0, 1.5)
 
     def test_empty_queue_demand_vanishes(self):
-        d, _ = eps_demand_supply(PqModel.PQM2, 0.0, 1000, 1200, 0.001, 200.0)
-        assert d == 0.0
+        """eps-PQM2 at 0: demand 0 * 0.5 = 0, supply 200 * 0.5 = 100."""
+        assert _eps_advance(PqModel.PQM2, 0.0, 1.0, 1.5, 200.0, 0.5, True) == (1.0, 1.0, 0.0)
 
     def test_unbounded_supply(self):
-        _, s = eps_demand_supply(PqModel.PQM4, 5.0, 1000, 1200, 0.001, None)
-        assert s == math.inf
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            eps_demand_supply(PqModel.PQM1, -0.5, 1000, 1200, 0.001, 200.0)
+        """eps-PQM4 without capacity: the whole feed enters; outflow min(1.5, 5 * 0.5)."""
+        assert _eps_advance(PqModel.PQM4, 5.0, 1.0, 1.5, None, 0.5, True) == (4.5, 1.0, 1.5)
 
 
 class TestEpsilonConfig:

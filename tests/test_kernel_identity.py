@@ -33,7 +33,6 @@ from pqsim import (
     TandemSpec,
     TandemState,
     Trajectory,
-    lqm_demand_supply,
     step_pq,
     step_tandem,
 )
@@ -91,8 +90,13 @@ def _ref_departures_at(sim: LtmSimulation, s: float) -> float:
     return _ref_interp(sim, sim._departures, s)
 
 
+def _ref_now(sim: LtmSimulation) -> float:
+    """The time t the next step starts at: one history entry per step taken."""
+    return (len(sim._arrivals) - 1) * sim.dt
+
+
 def _ref_queue_and_vacancy(sim: LtmSimulation) -> tuple[float, float]:
-    t, p = sim.clock, sim.params
+    t, p = _ref_now(sim), sim.params
     queue = max(0.0, _ref_arrivals_at(sim, t - p.free_flow_time) - sim.departures)
     vacancy = max(0.0, _ref_departures_at(sim, t - p.wave_time) + p.storage - sim.arrivals)
     return queue, vacancy
@@ -100,7 +104,7 @@ def _ref_queue_and_vacancy(sim: LtmSimulation) -> tuple[float, float]:
 
 def _reference_volumes(sim: LtmSimulation) -> tuple[float, float]:
     """Demand and supply volumes from one read per delayed value, as the formulas state them."""
-    t, dt, p = sim.clock, sim.dt, sim.params
+    t, dt, p = _ref_now(sim), sim.dt, sim.params
     cap_volume = p.capacity * dt
     queue, vacancy = _ref_queue_and_vacancy(sim)
     delayed_in = _ref_arrivals_at(sim, t + dt - p.free_flow_time) - _ref_arrivals_at(sim, t - p.free_flow_time)
@@ -113,11 +117,11 @@ def test_ltm_volumes_equal_the_reference_formula_at_every_step():
     sim = LtmSimulation(STANDARD, 75.0, dt=0.005)
     seeded = queued = full = 0
     for i in range(600):
-        seeded += sim.clock - STANDARD.wave_time <= 0
-        queued += sim.queue_size > 0
-        full += sim.vacancy == 0
-        assert sim.demand_supply_volumes() == _reference_volumes(sim)
-        assert (sim.queue_size, sim.vacancy) == _ref_queue_and_vacancy(sim)
+        queue, vacancy = _ref_queue_and_vacancy(sim)
+        seeded += _ref_now(sim) - STANDARD.wave_time <= 0
+        queued += queue > 0
+        full += vacancy == 0
+        assert sim._volumes() == (queue, *_reference_volumes(sim))
         sim.step(4000 if i < 300 else 0, 500)
     assert seeded >= 10 and queued > 0 and full > 0
 
@@ -135,7 +139,7 @@ def test_pq_model_flags():
 
 def test_pq_state_is_immutable():
     state = PqState.initial(5.0)
-    assert state == PqState(clock=0.0, queue=5.0, arrivals=5.0, departures=0.0)
+    assert state == PqState(queue=5.0, arrivals=5.0, departures=0.0)
     with pytest.raises(AttributeError):
         state.queue = 1.0
 
@@ -231,7 +235,7 @@ def _ref_step_tandem(spec, state, delta, sigma, dt):
         departures[i] = departures[i] + outflow
         fluxes.append(outflow)
         incoming = outflow
-    return (state.clock + dt, arrivals, departures), fluxes
+    return (arrivals, departures), fluxes
 
 
 def _ref_lqm_rates(rho, params):
@@ -333,13 +337,13 @@ def test_eps_advance_matches_the_min_max_form(model, inputs, ratio, clamp):
 
 def test_step_pq_returns_a_pq_state():
     state = step_pq(PqVariant(PqModel.PQM3), PqState.initial(5.0), 1200.0, 600.0, 0.01, 200.0)
-    assert type(state) is PqState and state == (0.01, 11.0, 17.0, 6.0)
+    assert type(state) is PqState and state == (11.0, 17.0, 6.0)
 
 
 def _flat(step_result):
-    """A tandem step's (state, fluxes) as one list: clock, F per queue, G per queue, fluxes."""
-    (clock, arrivals, departures), fluxes = step_result
-    return [clock, *arrivals, *departures, *fluxes]
+    """A tandem step's (state, fluxes) as one list: F per queue, G per queue, fluxes."""
+    (arrivals, departures), fluxes = step_result
+    return [*arrivals, *departures, *fluxes]
 
 
 def test_step_tandem_matches_on_every_tie():
@@ -347,7 +351,7 @@ def test_step_tandem_matches_on_every_tie():
     for first, second in product(PqModel, repeat=2):
         for capacity, lam1, lam2, delta, sigma in product((None, 12.0, 12), SMALL, SMALL, SMALL, SMALL):
             spec = TandemSpec((TandemQueue(QueueSpec(None), first), TandemQueue(QueueSpec(capacity), second)))
-            state = TandemState(0.0, [lam1, lam2], [0, 0])
+            state = TandemState([lam1, lam2], [0, 0])
             want = _ref_step_tandem(spec, state, delta, sigma, 1.0)
             _same(_flat(step_tandem(spec, state, delta, sigma, 1.0)), _flat(want))
 
@@ -364,7 +368,7 @@ def tandems(draw):
         members.append(TandemQueue(QueueSpec(capacity), draw(MODEL)))
         arrivals.append(served + lam)
         departures.append(served)
-    return TandemSpec(tuple(members)), TandemState(0.0, arrivals, departures)
+    return TandemSpec(tuple(members)), TandemState(arrivals, departures)
 
 
 @settings(max_examples=150, deadline=None)
@@ -392,7 +396,7 @@ def test_lqm_step_matches_the_min_max_form(initial, dt, rates):
     sim = LqmSimulation(STANDARD, initial, dt)
     arrivals, departures = initial, 0.0
     for delta, sigma in rates:
-        content = sim.vehicles
+        content = sim.arrivals - sim.departures
         got = sim.step(delta, sigma)
         arrivals, departures, *want = _ref_lqm_step(arrivals, departures, STANDARD, dt, delta, sigma)
         _same([*got, sim.arrivals, sim.departures, sim.step_queue], [*want, arrivals, departures, content])
@@ -418,12 +422,6 @@ def test_ltm_step_matches_on_every_tie():
             queue, _ = _ref_queue_and_vacancy(sim)
             got = sim.step(delta, sigma)
             _same([*got, sim.step_queue], [min(delta * dt, supply), min(demand, sigma * dt), queue])
-
-
-@EXAMPLES
-@given(rho=st.one_of(st.sampled_from((0.0, 75.0, 150.0, 5e-324)), st.floats(0.0, 150.0)))
-def test_lqm_demand_supply_matches_the_min_max_form(rho):
-    _same(lqm_demand_supply(rho, STANDARD), _ref_lqm_rates(rho, STANDARD))
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Tests for the two link-based models and their zero-length limits."""
 
+import math
 import random
 from dataclasses import asdict
 
@@ -13,7 +14,6 @@ from pqsim import (
     PqModel,
     PqState,
     PqVariant,
-    lqm_demand_supply,
     scenario_from_dict,
     sine_floor,
     step_pq,
@@ -25,25 +25,25 @@ STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_
 
 
 class TestLqmDemandSupply:
+    """Hand-worked rates d, s of the module docstring, through one step at unlimited delta and sigma."""
+
     def test_empty_link(self):
-        d, s = lqm_demand_supply(0.0, STANDARD)
-        assert d == 0.0
-        assert s == STANDARD.capacity
+        """rho = 0: d = 0, s = min(150 * 20, 2250) = capacity."""
+        assert LqmSimulation(STANDARD, 0.0, dt=0.01).step(math.inf, math.inf) == (STANDARD.capacity * 0.01, 0.0)
 
     def test_full_link(self):
-        d, s = lqm_demand_supply(STANDARD.storage, STANDARD)
-        assert d == STANDARD.capacity
-        assert s == 0.0
+        """rho = storage: d = min(150 * 60, 2250) = capacity, s = 0."""
+        sim = LqmSimulation(STANDARD, STANDARD.storage, dt=0.01)
+        assert sim.step(math.inf, math.inf) == (0.0, STANDARD.capacity * 0.01)
 
     def test_half_full(self):
         """rho = 75: d = min(75*60, 2250) = 2250, s = min(75*20, 2250) = 1500."""
-        assert lqm_demand_supply(75.0, STANDARD) == (2250.0, 1500.0)
+        assert LqmSimulation(STANDARD, 75.0, dt=0.01).step(math.inf, math.inf) == (1500.0 * 0.01, 2250.0 * 0.01)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            lqm_demand_supply(-1.0, STANDARD)
-        with pytest.raises(ValueError):
-            lqm_demand_supply(151.0, STANDARD)
+        for content in (-1.0, 151.0):
+            with pytest.raises(ValueError, match="initial content must lie in"):
+                LqmSimulation(STANDARD, content, dt=0.01)
 
 
 class TestLqmStep:
@@ -53,7 +53,7 @@ class TestLqmStep:
         fin, fout = sim.step(1000, 1200)
         assert fin == pytest.approx(10.0)
         assert fout == pytest.approx(12.0)
-        assert sim.vehicles == pytest.approx(73.0)
+        assert sim.arrivals - sim.departures == pytest.approx(73.0)
 
     def test_conservation(self):
         rng = random.Random(3)
@@ -63,15 +63,14 @@ class TestLqmStep:
             fin, fout = sim.step(rng.uniform(0, 4000), rng.uniform(0, 4000))
             total_in += fin
             total_out += fout
-        assert sim.vehicles == pytest.approx(20.0 + total_in - total_out, abs=1e-9)
-        assert sim.arrivals - sim.departures == sim.vehicles
+        assert sim.arrivals - sim.departures == pytest.approx(20.0 + total_in - total_out, abs=1e-9)
 
     def test_boundedness_under_stable_step(self):
         rng = random.Random(5)
         sim = LqmSimulation(STANDARD, 0.0, dt=1 / 60)  # = min(T1, T2)
         for _ in range(400):
             sim.step(rng.uniform(0, 5000), rng.uniform(0, 5000))
-            assert -1e-9 <= sim.vehicles <= STANDARD.storage + 1e-9
+            assert -1e-9 <= sim.arrivals - sim.departures <= STANDARD.storage + 1e-9
 
     def test_flux_increments_are_lipschitz(self):
         """Each flux volume is at most (max(delta_max, capacity) + capacity) * dt."""
@@ -106,18 +105,18 @@ class TestLqmStep:
 class TestLtmBoundary:
     def test_empty_link_has_no_demand(self):
         sim = LtmSimulation(STANDARD, 0.0, dt=0.01)
-        demand, _ = sim.demand_supply_volumes()
+        _, demand, _ = sim._volumes()
         assert demand == 0.0
 
     def test_empty_link_supply_is_capacity_limited(self):
         """Vacancy wave offers storage/T2 but the capacity storage/T3 binds."""
         sim = LtmSimulation(STANDARD, 0.0, dt=0.01)
-        _, supply = sim.demand_supply_volumes()
+        _, _, supply = sim._volumes()
         assert supply == pytest.approx(STANDARD.capacity * 0.01)
 
     def test_full_link_has_no_supply(self):
         sim = LtmSimulation(STANDARD, STANDARD.storage, dt=0.01)
-        _, supply = sim.demand_supply_volumes()
+        _, _, supply = sim._volumes()
         assert supply == pytest.approx(0.0)
 
     def test_three_step_hand_trace(self):
@@ -132,7 +131,7 @@ class TestLtmBoundary:
         assert (fin, fout) == (6.0, 0.0)
         # t = 0.01: delayed window [0.01 - T1, 0.02 - T1] straddles 0; the
         # seeded history is 0 and F(0.01) = 6 interpolates to 6 * (1/3) = 2.
-        demand, supply = sim.demand_supply_volumes()
+        _, demand, supply = sim._volumes()
         assert demand == pytest.approx(2.0)
         assert supply == pytest.approx(STANDARD.capacity * 0.01)
         fin, fout = sim.step(600, 1200)
@@ -141,11 +140,11 @@ class TestLtmBoundary:
         # t = 0.02: window [0.02 - T1, 0.03 - T1] = [1/300, 4/300]:
         # interp(F)(4/300) = 6 + (1/3)*6 = 8, interp(F)(1/300) = 2, queue =
         # F(1/300) - G(0.02) = 2 - 2 = 0, so demand = 8 - 2 + 0 = 6.
-        demand, _ = sim.demand_supply_volumes()
+        _, demand, _ = sim._volumes()
         assert demand == pytest.approx(6.0)
         fin, fout = sim.step(600, 1200)
         assert fout == pytest.approx(6.0)
-        assert sim.vehicles == pytest.approx(18.0 - 8.0)
+        assert sim.arrivals - sim.departures == pytest.approx(18.0 - 8.0)
 
     def test_content_invariants(self):
         """G <= F <= G + storage along a saturated run."""
@@ -153,17 +152,18 @@ class TestLtmBoundary:
         for i in range(600):
             sim.step(4000 if i < 300 else 0, 500)
             assert sim.departures <= sim.arrivals + 1e-9
-            assert sim.vehicles <= STANDARD.storage + 1e-9
-            assert sim.queue_size >= 0 and sim.vacancy >= 0
+            assert sim.arrivals - sim.departures <= STANDARD.storage + 1e-9
+            queue, _, supply = sim._volumes()
+            assert queue >= 0 and supply >= 0
 
     def test_initial_content_seeds_demand(self):
         """A preloaded link releases its initial content at rate content/T1."""
         sim = LtmSimulation(STANDARD, 60.0, dt=0.01)
-        demand, _ = sim.demand_supply_volumes()
+        _, demand, _ = sim._volumes()
         # 60 veh / T1 = 3600 vph exceeds capacity 2250, so capacity binds.
         assert demand == pytest.approx(STANDARD.capacity * 0.01)
         sim2 = LtmSimulation(STANDARD, 30.0, dt=0.01)
-        demand2, _ = sim2.demand_supply_volumes()
+        _, demand2, _ = sim2._volumes()
         assert demand2 == pytest.approx(30.0 / STANDARD.free_flow_time * 0.01)  # 1800 vph
 
 
@@ -187,12 +187,12 @@ class TestZeroLengthLimit:
                 out.append(state.queue)
             return out
 
-        def run_link(cls, params, attr):
+        def run_link(cls, params, read):
             sim = cls(params, 0.0, dt)
             out = []
             for delta, sigma in rates:
                 sim.step(delta, sigma)
-                out.append(getattr(sim, attr))
+                out.append(read(sim))
             return out
 
         pqm1 = run_point(PqModel.PQM1)
@@ -202,8 +202,8 @@ class TestZeroLengthLimit:
             lanes = storage / (length * 150.0)
             params = LinkParams(length, lanes, 60, 20, 150)
             assert dt <= min(params.free_flow_time, params.wave_time)
-            ltm = run_link(LtmSimulation, params, "queue_size")
-            lqm = run_link(LqmSimulation, params, "vehicles")
+            ltm = run_link(LtmSimulation, params, lambda sim: sim._volumes()[0])  # F(t - T1) - G(t)
+            lqm = run_link(LqmSimulation, params, lambda sim: sim.arrivals - sim.departures)
             gaps_ltm.append(max(abs(a - b) for a, b in zip(ltm, pqm1)))
             gaps_lqm.append(max(abs(a - b) for a, b in zip(lqm, pqm2)))
         assert gaps_ltm[0] > gaps_ltm[1] > gaps_ltm[2]

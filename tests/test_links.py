@@ -1,10 +1,25 @@
 """Tests for link physics: triangular flow, derived times, queue specs."""
 
+import math
+
 import pytest
 
-from pqsim import LinkParams, QueueSpec, triangular_flow
+from pqsim import LinkParams, LqmSimulation, QueueSpec
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
+
+
+def triangular_flow(params: LinkParams, density: float) -> float:
+    """q(k) = min(V*k, (N*K - k)*W) [veh/hr], as the delay-free link passes it.
+
+    At content rho = k*L, LQM's demand rate min(rho/T1, capacity) is min(V*k,
+    capacity) and its supply rate min((storage - rho)/T2, capacity) is
+    min((N*K - k)*W, capacity).  The capacity is q's maximum, so with
+    unlimited feed and service one step carries min(inflow, outflow) = q(k) * dt.
+    """
+    dt = 0.01
+    inflow, outflow = LqmSimulation(params, density * params.length, dt).step(math.inf, math.inf)
+    return min(inflow, outflow) / dt
 
 
 class TestTriangularFlow:
@@ -16,7 +31,7 @@ class TestTriangularFlow:
 
     def test_crossover_density(self):
         """min(60*37.5, (150-37.5)*20) = min(2250, 2250)."""
-        assert triangular_flow(STANDARD, 37.5) == 2250.0
+        assert triangular_flow(STANDARD, 37.5) == pytest.approx(2250.0, rel=1e-15)
 
     def test_capacity_bound_and_critical_density(self):
         """q(k) <= N*U*K everywhere, with equality only at k = N*K*W/(V+W)."""
@@ -80,11 +95,11 @@ class TestDerivedTimes:
 class TestQueueSpec:
     def test_bounded(self):
         q = QueueSpec(capacity=200, initial=50)
-        assert not q.is_unbounded
+        assert (q.capacity, q.initial) == (200, 50)
 
     def test_unbounded_variant(self):
         q = QueueSpec.unbounded(initial=5)
-        assert q.is_unbounded and q.capacity is None
+        assert q.capacity is None and q.initial == 5
 
     def test_initial_within_capacity(self):
         with pytest.raises(ValueError):

