@@ -11,7 +11,8 @@ rate 1/eps yields differentiable dynamics.  Demand and supply rates
     eps-PQM3     delta + lam/eps          (capacity - lam)/eps
     eps-PQM4     lam/eps                  sigma + (capacity - lam)/eps
 
-and the forward-Euler step is
+and the forward-Euler step, :func:`_step_with_volumes` (the relaxed
+junction rule a relaxed run calls once per step), is
 
     lam' = lam + min(delta*dt, s*dt) - min(d*dt, sigma*dt).
 
@@ -37,9 +38,10 @@ Both are :func:`step_eps` with ``capacity=None``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .point_queue import _CUMULATIVE, PqModel, PqState, PqVariant, _new_tuple
-from .point_queue import _advance as point_queue_advance
+from .point_queue import PqModel, PqState, PqVariant, _advance_state
+from .point_queue import _step_with_volumes as _exact_step
 
 __all__ = [
     "EpsilonConfig",
@@ -72,15 +74,18 @@ class EpsilonConfig:
             )
 
 
-def _eps_advance(model: PqModel, lam, feed, service, capacity, ratio, clamp: bool):
-    """One relaxed update; ``ratio`` is dt/eps (exactly 1 collapses to the exact model).
+def _step_with_volumes(ratio, model: PqModel, lam, feed, service, capacity, clamp: bool):
+    """The relaxed junction rule for one step; returns (lam_next, inflow, outflow) as volumes.
 
+    ``ratio`` is dt/eps (exactly 1 collapses to the exact model) and comes
+    first so that a run binds it once with ``functools.partial``; the rest
+    are the arguments of :func:`point_queue._step_with_volumes`.
     ``min``/``max`` are spelled as conditional expressions with the builtins'
-    tie rules, as in :func:`point_queue._advance`.
+    tie rules, as there.
     """
     if ratio == 1:
         # dt = eps reproduces the exact discrete model, volumes and all.
-        return point_queue_advance(model, lam, feed, service, capacity, clamp)
+        return _exact_step(model, lam, feed, service, capacity, clamp)
     relax_out = lam * ratio
     dvol = feed + relax_out if model.demand_includes_feed else relax_out
     if capacity is None:
@@ -98,22 +103,6 @@ def _eps_advance(model: PqModel, lam, feed, service, capacity, ratio, clamp: boo
     return lam_next, inflow, outflow
 
 
-def _step_with_volumes(variant, state, delta, sigma, cfg, capacity, clamp):
-    lam, arrivals, departures = state
-    cumulative = variant.formulation is _CUMULATIVE
-    if cumulative:
-        lam = arrivals - departures
-    dt = cfg.dt
-    lam_next, inflow, outflow = _eps_advance(
-        variant.model, lam, delta * dt, sigma * dt, capacity, dt / cfg.epsilon, clamp
-    )
-    arrivals = arrivals + inflow
-    departures = departures + outflow
-    if cumulative:
-        lam_next = arrivals - departures
-    return _new_tuple(PqState, (lam_next, arrivals, departures)), inflow, outflow
-
-
 def step_eps(
     variant: PqVariant,
     state: PqState,
@@ -124,5 +113,6 @@ def step_eps(
     clamp: bool = True,
 ) -> PqState:
     """Advance a relaxed point queue by one step of size cfg.dt."""
-    return _step_with_volumes(variant, state, delta, sigma, cfg, capacity, clamp)[0]
-
+    dt = cfg.dt
+    step = partial(_step_with_volumes, dt / cfg.epsilon)
+    return _advance_state(variant, state, step, delta * dt, sigma * dt, capacity, clamp)

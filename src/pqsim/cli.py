@@ -30,11 +30,20 @@ from .trajectory import Trajectory
 
 
 def _model_list(arg: str) -> list[str]:
-    return [m.strip().lower() for m in arg.split(",") if m.strip()]
+    names = [m.strip().lower() for m in arg.split(",") if m.strip()]
+    if not names:
+        raise ValidationError(f"--models must name at least one model (got {arg!r})")
+    return names
 
 
 def _float_list(arg: str) -> list[float]:
-    return [float(x) for x in arg.split(",") if x.strip()]
+    try:
+        values = [float(x) for x in arg.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValidationError(f"--dt-list must be a comma-separated list of numbers (got {arg!r})")
+    return values
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:

@@ -9,8 +9,10 @@ with an upstream feed (delta * dt offered) and a downstream service
     outflow = min(demand_volume, service_volume)
     lam'    = lam + inflow - outflow
 
-The four variants differ in whether the feed enters the queue's demand and
-whether the service enters its supply:
+That junction rule, flux = min(demand, supply) on each side, is
+:func:`_step_with_volumes`, the one function a point-queue run calls per
+step.  The four variants differ in whether the feed enters the queue's
+demand and whether the service enters its supply:
 
     variant   demand volume       supply volume
     PQM1      feed + lam          service + (capacity - lam)
@@ -32,13 +34,14 @@ the physical range (see :func:`well_definedness_bound`).
 
 Two formulations of the same update are provided: formulation A carries
 the queue length forward; formulation B carries the cumulative inflow F
-and outflow G and derives lam = F - G.  They apply identical volume
-expressions and coincide exactly in exact arithmetic.  Every function here
-uses plain arithmetic and comparisons only, so it can be run on
-``fractions.Fraction`` states for bit-exact checks.  The step kernels spell
-``min(a, b)`` as ``b if b < a else a`` and ``max(a, b)`` as
-``b if b > a else a``: the builtins' tie rules (the first argument wins a
-tie), hence the same value and type, at a fraction of a builtin call's cost.
+and outflow G and derives lam = F - G around the junction rule, not inside
+it.  They apply identical volume expressions and coincide exactly in exact
+arithmetic.  Every function here uses plain arithmetic and comparisons
+only, so it can be run on ``fractions.Fraction`` states for bit-exact
+checks.  The step kernels spell ``min(a, b)`` as ``b if b < a else a`` and
+``max(a, b)`` as ``b if b > a else a``: the builtins' tie rules (the first
+argument wins a tie), hence the same value and type, at a fraction of a
+builtin call's cost.
 """
 
 from __future__ import annotations
@@ -103,8 +106,8 @@ class PqState(NamedTuple):
         return cls(content, content, content * 0)
 
 
-def _advance(model: PqModel, lam, feed, service, capacity, clamp: bool):
-    """One queue update; returns (lam_next, inflow, outflow) as volumes.
+def _step_with_volumes(model: PqModel, lam, feed, service, capacity, clamp: bool):
+    """The junction rule for one step; returns (lam_next, inflow, outflow) as volumes.
 
     ``feed`` and ``service`` are the volumes offered from upstream and
     accepted downstream during the step (service None = unlimited).  The
@@ -113,7 +116,8 @@ def _advance(model: PqModel, lam, feed, service, capacity, clamp: bool):
     capacity - service, ...) instead of accumulating round-off.  The demand
     and supply volumes are those of the module docstring's table; the supply
     is None when unlimited (``capacity`` None, or ``service`` None in
-    PQM1/PQM4).
+    PQM1/PQM4).  The scenario loop calls it once per step and keeps the
+    state (and formulation B's lam = F - G) in its own locals.
     """
     with_feed = model.demand_includes_feed
     if capacity is None:
@@ -148,17 +152,16 @@ _CUMULATIVE = Formulation.CUMULATIVE
 _new_tuple = tuple.__new__  # builds a state tuple without NamedTuple.__new__'s Python frame
 
 
-def _step_with_volumes(variant, state, delta, sigma, dt, capacity, clamp):
+def _advance_state(variant: PqVariant, state: PqState, step, feed, service, capacity, clamp) -> PqState:
+    """Apply the junction rule ``step`` to ``state``; formulation B rederives lam = F - G before and after."""
     lam, arrivals, departures = state
     cumulative = variant.formulation is _CUMULATIVE
     if cumulative:
         lam = arrivals - departures
-    lam_next, inflow, outflow = _advance(variant.model, lam, delta * dt, sigma * dt, capacity, clamp)
+    lam, inflow, outflow = step(variant.model, lam, feed, service, capacity, clamp)
     arrivals = arrivals + inflow
     departures = departures + outflow
-    if cumulative:
-        lam_next = arrivals - departures
-    return _new_tuple(PqState, (lam_next, arrivals, departures)), inflow, outflow
+    return _new_tuple(PqState, (arrivals - departures if cumulative else lam, arrivals, departures))
 
 
 def step_pq(
@@ -178,7 +181,7 @@ def step_pq(
     ``clamp=False`` to reproduce admissibility failures with out-of-bound
     step sizes.
     """
-    return _step_with_volumes(variant, state, delta, sigma, dt, capacity, clamp)[0]
+    return _advance_state(variant, state, _step_with_volumes, delta * dt, sigma * dt, capacity, clamp)
 
 
 def well_definedness_bound(

@@ -43,12 +43,11 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import approx, point_queue
-from .approx import EpsilonConfig
 from .errors import ScenarioError, ValidationError
 from .link_models import LqmSimulation, LtmSimulation
 from .links import LinkParams, QueueSpec
 from .network import TandemQueue, TandemSpec, TandemState, step_tandem
-from .point_queue import Formulation, PqModel, PqState, PqVariant, well_definedness_bound
+from .point_queue import Formulation, PqModel, well_definedness_bound
 from .profiles import Profile, profile_from_dict
 from .trajectory import Trajectory, TrajectoryStats, sup_distance
 
@@ -315,28 +314,34 @@ def _step_rates(scenario: Scenario, n: int, exact: bool = False):
 def _run_point(
     scenario: Scenario, name: str, exact: bool, relaxed: bool = False, model: PqModel | None = None
 ) -> list[Trajectory]:
-    if exact and relaxed:
-        raise ValidationError("exact arithmetic is supported for the exact point models only")
+    """The point-queue loop: the state (lam, F, G) lives in locals, one junction-rule call per step."""
     queue = scenario.queue
-    variant = PqVariant(model or _pq_model(name, scenario.source), scenario.formulation)
+    model = model or _pq_model(name, scenario.source)
     dt = scenario.dt
     n = round(scenario.horizon / dt)
     clamp = not scenario.unsafe
+    cumulative = scenario.formulation is Formulation.CUMULATIVE
     conv = Fraction if exact else float
     cap = queue.capacity if queue.capacity is None else conv(queue.capacity)
-    state = PqState.initial(conv(queue.initial))
+    lam = arrivals = conv(queue.initial)
+    departures = lam * 0
     # Looked up once per run, at run time, so a wrapper set on the module is seen.
     if relaxed:
-        step, dt_or_cfg = approx._step_with_volumes, EpsilonConfig(scenario.epsilon, dt, unsafe=scenario.unsafe)
+        step, vol_dt = partial(approx._step_with_volumes, dt / scenario.epsilon), dt
     else:
-        step, dt_or_cfg = point_queue._step_with_volumes, conv(dt)
+        step, vol_dt = point_queue._step_with_volumes, conv(dt)
     queues, arrs, deps, fin, fout = [], [], [], [], []
     for delta, sigma in _step_rates(scenario, n, exact):
-        lam, arrivals, departures = state
         queues.append(lam)
         arrs.append(arrivals)
         deps.append(departures)
-        state, in_vol, out_vol = step(variant, state, delta, sigma, dt_or_cfg, cap, clamp)
+        if cumulative:
+            lam = arrivals - departures
+        lam, in_vol, out_vol = step(model, lam, delta * vol_dt, sigma * vol_dt, cap, clamp)
+        arrivals = arrivals + in_vol
+        departures = departures + out_vol
+        if cumulative:
+            lam = arrivals - departures
         fin.append(in_vol / dt)
         fout.append(out_vol / dt)
     # The formulation-A clamp floors lambda at int 0, and exact runs carry
@@ -355,7 +360,7 @@ def _run_vickrey(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]
 
 
 def _run_link(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
-    """Link models run in floats; ``exact`` does not apply to them."""
+    """Link models run in floats only; ``simulate_model`` rejects ``exact`` for them."""
     dt = scenario.dt
     n = round(scenario.horizon / dt)
     sim_cls = LtmSimulation if name == "ltm" else LqmSimulation
@@ -376,7 +381,7 @@ def _run_link(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
 
 
 def _run_tandem(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
-    """One trajectory per queue, origin to destination; like the link models, it runs in floats."""
+    """One trajectory per queue, origin to destination; like the link models, it runs in floats only."""
     spec = scenario.tandem
     dt = scenario.dt
     n = round(scenario.horizon / dt)
@@ -432,22 +437,24 @@ class ModelSpec(NamedTuple):
     returns its trajectories: one for a point or link model, one per queue
     for a tandem.  ``notes(scenario, trajectories)``, when set, returns
     report lines computed from the recorded columns after the run.
+    ``exact`` marks the models that can run on ``Fraction`` arithmetic.
     """
 
     needs: tuple[str, ...]
     check: Callable[[Scenario, str], None] | None
     run: Callable[[Scenario, str, bool], list[Trajectory]]
     notes: Callable[[Scenario, list[Trajectory]], dict] | None = None
+    exact: bool = False
 
 
 MODELS: dict[str, ModelSpec] = {
-    **{m.value: ModelSpec(("queue",), _check_point, _run_point) for m in PqModel},
+    **{m.value: ModelSpec(("queue",), _check_point, _run_point, exact=True) for m in PqModel},
     **{
         f"eps-{m.value}": ModelSpec(("queue", "epsilon"), _check_eps, partial(_run_point, relaxed=True))
         for m in PqModel
     },
     **{name: ModelSpec(("link",), _check_link, _run_link) for name in ("ltm", "lqm")},
-    "vickrey": ModelSpec((), None, _run_vickrey),
+    "vickrey": ModelSpec((), None, _run_vickrey, exact=True),
     "tandem": ModelSpec(("tandem",), _check_tandem, _run_tandem, _tandem_notes),
 }
 MODEL_NAMES = tuple(MODELS)
@@ -471,12 +478,17 @@ def simulate_model(scenario: Scenario, model_name: str | None = None, exact: boo
     """Validate and run one model of a scenario, returning its trajectories.
 
     One trajectory for a point or link model, one per queue for a tandem.
-    ``exact=True`` runs the exact point-queue models on dyadic-rational
-    arithmetic (``fractions.Fraction``), under which formulations A and B
-    coincide identically; outputs are converted back to floats.
+    ``exact=True`` runs the exact point-queue models and ``vickrey`` on
+    dyadic-rational arithmetic (``fractions.Fraction``), under which
+    formulations A and B coincide identically; outputs are converted back
+    to floats.  Any other model with ``exact=True`` raises.
     """
     name = (model_name or scenario.model).lower()
     validate_model(scenario, name)
+    if exact and not MODELS[name].exact:
+        raise ValidationError(
+            f"{scenario.source}: exact arithmetic is supported for the exact point models only (got {name!r})"
+        )
     return MODELS[name].run(scenario, name, exact)
 
 

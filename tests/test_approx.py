@@ -17,7 +17,7 @@ from pqsim import (
     step_pq,
     well_definedness_bound,
 )
-from pqsim.approx import _eps_advance
+from pqsim.approx import _step_with_volumes
 
 ALL_MODELS = list(PqModel)
 
@@ -33,23 +33,23 @@ def run_eps(model, rates, cfg, capacity, initial=0.0, clamp=True):
 
 
 class TestDemandSupplyRates:
-    """Hand-worked relaxed rates, as volumes through ``_eps_advance`` at dt/eps = 0.5."""
+    """Hand-worked relaxed rates, as volumes through ``_step_with_volumes`` at dt/eps = 0.5."""
 
     def test_empty_queue_full_relaxation_headroom(self):
         """eps-PQM1 at 0: demand 1 + 0, supply 1.5 + 200 * 0.5, so inflow 1 and outflow min(1.5, 1)."""
-        assert _eps_advance(PqModel.PQM1, 0.0, 1.0, 1.5, 200.0, 0.5, True) == (0.0, 1.0, 1.0)
+        assert _step_with_volumes(0.5, PqModel.PQM1, 0.0, 1.0, 1.5, 200.0, True) == (0.0, 1.0, 1.0)
 
     def test_full_queue_supply_vanishes(self):
         """eps-PQM2 at capacity: supply (200 - 200) * 0.5 = 0, demand 200 * 0.5 = 100."""
-        assert _eps_advance(PqModel.PQM2, 200.0, 1.0, 1.5, 200.0, 0.5, True) == (198.5, 0.0, 1.5)
+        assert _step_with_volumes(0.5, PqModel.PQM2, 200.0, 1.0, 1.5, 200.0, True) == (198.5, 0.0, 1.5)
 
     def test_empty_queue_demand_vanishes(self):
         """eps-PQM2 at 0: demand 0 * 0.5 = 0, supply 200 * 0.5 = 100."""
-        assert _eps_advance(PqModel.PQM2, 0.0, 1.0, 1.5, 200.0, 0.5, True) == (1.0, 1.0, 0.0)
+        assert _step_with_volumes(0.5, PqModel.PQM2, 0.0, 1.0, 1.5, 200.0, True) == (1.0, 1.0, 0.0)
 
     def test_unbounded_supply(self):
         """eps-PQM4 without capacity: the whole feed enters; outflow min(1.5, 5 * 0.5)."""
-        assert _eps_advance(PqModel.PQM4, 5.0, 1.0, 1.5, None, 0.5, True) == (4.5, 1.0, 1.5)
+        assert _step_with_volumes(0.5, PqModel.PQM4, 5.0, 1.0, 1.5, None, True) == (4.5, 1.0, 1.5)
 
 
 class TestEpsilonConfig:

@@ -36,8 +36,8 @@ from pqsim import (
     step_pq,
     step_tandem,
 )
-from pqsim.approx import _eps_advance
-from pqsim.point_queue import _advance
+from pqsim.approx import _step_with_volumes as eps_step
+from pqsim.point_queue import _step_with_volumes as exact_step
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
 # T1 = 1/60 hr, T2 = 1/20 hr, storage = 150 veh, capacity = 2250 vph
@@ -303,7 +303,7 @@ def queue_inputs(draw):
 def test_advance_matches_the_min_max_form(model, inputs, clamp):
     lam, feed, service, capacity = inputs
     want = _ref_advance(model, lam, feed, service, capacity, clamp)
-    _same(_advance(model, lam, feed, service, capacity, clamp), want)
+    _same(exact_step(model, lam, feed, service, capacity, clamp), want)
 
 
 @pytest.mark.parametrize("model", list(PqModel))
@@ -312,12 +312,12 @@ def test_advance_and_eps_advance_match_on_every_tie(model):
     cases = product(SMALL, SMALL, (None, *SMALL), (None, 12.0, 12), (True, False))
     for lam, feed, service, capacity, clamp in cases:
         want = _ref_advance(model, lam, feed, service, capacity, clamp)
-        _same(_advance(model, lam, feed, service, capacity, clamp), want)
+        _same(exact_step(model, lam, feed, service, capacity, clamp), want)
         if service is None:
             continue
         for ratio in (1, 1.0, 0.5):
             want = _ref_eps_advance(model, lam, feed, service, capacity, ratio, clamp)
-            _same(_eps_advance(model, lam, feed, service, capacity, ratio, clamp), want)
+            _same(eps_step(ratio, model, lam, feed, service, capacity, clamp), want)
 
 
 @EXAMPLES
@@ -331,7 +331,7 @@ def test_eps_advance_matches_the_min_max_form(model, inputs, ratio, clamp):
     lam, feed, service, capacity = inputs
     if service is None:
         service = feed  # the relaxed outflow always has a finite service volume
-    got = _eps_advance(model, lam, feed, service, capacity, ratio, clamp)
+    got = eps_step(ratio, model, lam, feed, service, capacity, clamp)
     _same(got, _ref_eps_advance(model, lam, feed, service, capacity, ratio, clamp))
 
 

@@ -14,7 +14,7 @@ from pqsim import (
     step_pq,
     well_definedness_bound,
 )
-from pqsim.point_queue import _advance
+from pqsim.point_queue import _step_with_volumes
 
 ALL_MODELS = list(PqModel)
 
@@ -31,23 +31,23 @@ def run_queue(model, rates, dt, capacity, initial=0.0, formulation=Formulation.Q
 
 
 class TestDemandSupplyVolumes:
-    """Hand-worked volumes of the module table, through ``_advance``'s (lam', inflow, outflow)."""
+    """Hand-worked volumes of the module table, through ``_step_with_volumes``'s (lam', inflow, outflow)."""
 
     def test_empty_queue_with_service_headroom(self):
         """PQM1 at 0: demand 10, supply 12 + 200 = 212, so inflow 10 and outflow min(10, 12)."""
-        assert _advance(PqModel.PQM1, 0.0, 10.0, 12.0, 200.0, True) == (0.0, 10.0, 10.0)
+        assert _step_with_volumes(PqModel.PQM1, 0.0, 10.0, 12.0, 200.0, True) == (0.0, 10.0, 10.0)
 
     def test_full_queue_storage_only_supply(self):
         """PQM2 at capacity: demand is the whole content, supply is zero."""
-        assert _advance(PqModel.PQM2, 200.0, 20.0, 12.0, 200.0, True) == (188.0, 0.0, 12.0)
+        assert _step_with_volumes(PqModel.PQM2, 200.0, 20.0, 12.0, 200.0, True) == (188.0, 0.0, 12.0)
 
     def test_empty_queue_zero_feed(self):
         """PQM3 at 0 with no feed: demand 0, supply 200, nothing moves."""
-        assert _advance(PqModel.PQM3, 0.0, 0.0, 9.0, 200.0, True) == (0.0, 0.0, 0.0)
+        assert _step_with_volumes(PqModel.PQM3, 0.0, 0.0, 9.0, 200.0, True) == (0.0, 0.0, 0.0)
 
     def test_unbounded_supply_is_infinite(self):
         """No capacity: the whole feed enters; outflow min(10 + 5, 12)."""
-        assert _advance(PqModel.PQM1, 5.0, 10.0, 12.0, None, True) == (3.0, 10.0, 12.0)
+        assert _step_with_volumes(PqModel.PQM1, 5.0, 10.0, 12.0, None, True) == (3.0, 10.0, 12.0)
 
 
 class TestStep:

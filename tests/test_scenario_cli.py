@@ -447,3 +447,35 @@ def test_bad_stationary_inputs_rejected_with_flag_named(capsys, flag, value, kin
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{flag} must be {kind} and finite (got {float(value)!r})" in captured.err
+
+
+LINK_SCENARIO = "scenarios/congested_link.json"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["convergence", LINK_SCENARIO, "--models", "ltm,lqm", "--dt-list", "abc"], "--dt-list"),
+        (["convergence", LINK_SCENARIO, "--models", "ltm,lqm", "--dt-list", ","], "--dt-list"),
+        (["convergence", LINK_SCENARIO, "--models", ",", "--dt-list", "0.001"], "--models"),
+        (["compare", RELAXED, "--models", ","], "--models"),
+        (["simulate", RELAXED, "--models", " , "], "--models"),
+    ],
+)
+def test_empty_or_non_numeric_lists_rejected_with_flag_named(capsys, argv, flag):
+    """An empty list never falls back to the scenario's model or prints an empty table."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
+
+
+@pytest.mark.parametrize(
+    "path, model", [(LINK_SCENARIO, "ltm"), (LINK_SCENARIO, "lqm"), ("scenarios/tandem_spillback.json", "tandem")]
+)
+def test_exact_arithmetic_rejected_for_models_that_run_in_floats(path, model):
+    scenario = load_scenario(path)
+    message = "exact arithmetic is supported for the exact point models only"
+    with pytest.raises(ValidationError, match=message):
+        simulate_model(scenario, model, exact=True)
+    with pytest.raises(ValidationError, match=message):
+        run_scenario(scenario, models=[model], exact=True)
