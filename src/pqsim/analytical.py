@@ -47,7 +47,7 @@ the exact step makes other states alternate around it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 from .point_queue import PqModel, PqVariant
@@ -62,14 +62,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StationaryResult:
+class StationaryResult(namedtuple("StationaryResult", "queue_lo queue_hi flux limit_of_discrete", defaults=(False,))):
     """Stationary queue length (a point or an interval) and the through flux."""
 
-    queue_lo: float
-    queue_hi: float
-    flux: float
-    limit_of_discrete: bool = False
+    __slots__ = ()
 
     @property
     def is_point(self) -> bool:
@@ -88,16 +84,14 @@ class StationaryResult:
         return f"lambda in [{self.queue_lo:g}, {self.queue_hi:g}] veh, flux={self.flux:g} vph"
 
 
-@dataclass(frozen=True)
-class VickreySolution:
-    """Closed-form bottleneck solution sampled on a uniform grid."""
+class VickreySolution(namedtuple("VickreySolution", "dt grid arrivals departures queue waiting")):
+    """Closed-form bottleneck solution sampled on a uniform grid.
 
-    dt: float
-    grid: tuple[float, ...]
-    arrivals: tuple[float, ...]  # F
-    departures: tuple[float, ...]  # G
-    queue: tuple[float, ...]  # lam
-    waiting: tuple[float, ...] | None  # pi, only when the supply is constant
+    ``grid``, ``arrivals`` (F), ``departures`` (G) and ``queue`` (lam) are
+    tuples; ``waiting`` (pi) is one only when the supply is constant, else None.
+    """
+
+    __slots__ = ()
 
 
 def vickrey_closed_form(

@@ -37,7 +37,7 @@ Both are :func:`step_eps` with ``capacity=None``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .point_queue import PqModel, PqState, PqVariant, _advance_state
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EpsilonConfig:
+class EpsilonConfig(namedtuple("EpsilonConfig", "epsilon dt unsafe", defaults=(False,))):
     """Relaxation time and step size for the relaxed models.
 
     Requires eps > 0 and dt <= eps; capacity-dependent admissibility is
@@ -59,19 +58,16 @@ class EpsilonConfig:
     demonstrated deliberately.
     """
 
-    epsilon: float
-    dt: float
-    unsafe: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive (got {self.epsilon})")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive (got {self.dt})")
-        if self.dt > self.epsilon and not self.unsafe:
-            raise ValueError(
-                f"relaxed discrete models require dt <= epsilon (got dt={self.dt}, epsilon={self.epsilon})"
-            )
+    def __new__(cls, epsilon, dt, unsafe=False):
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must be positive (got {epsilon})")
+        if dt <= 0:
+            raise ValueError(f"dt must be positive (got {dt})")
+        if dt > epsilon and not unsafe:
+            raise ValueError(f"relaxed discrete models require dt <= epsilon (got dt={dt}, epsilon={epsilon})")
+        return super().__new__(cls, epsilon, dt, unsafe)
 
 
 def _step_with_volumes(ratio, model: PqModel, lam, feed, service, capacity, clamp: bool):

@@ -20,27 +20,24 @@ floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 __all__ = ["LinkParams", "QueueSpec"]
 
 
-@dataclass(frozen=True)
-class LinkParams:
-    length: float  # mi
-    lanes: float  # may be fractional when matching a storage target
-    free_flow_speed: float  # mph
-    wave_speed: float  # mph
-    jam_density: float  # veh/mi/lane
+class LinkParams(namedtuple("LinkParams", "length lanes free_flow_speed wave_speed jam_density")):
+    """Length [mi], lanes (fractional to match a storage), V and W [mph], jam density [veh/mi/lane]."""
 
-    def __post_init__(self) -> None:
-        for name in ("length", "lanes", "free_flow_speed", "wave_speed", "jam_density"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive (got {getattr(self, name)})")
+    def __new__(cls, length, lanes, free_flow_speed, wave_speed, jam_density):
+        self = super().__new__(cls, length, lanes, free_flow_speed, wave_speed, jam_density)
+        for name, value in zip(cls._fields, self):
+            if value <= 0:
+                raise ValueError(f"{name} must be strictly positive (got {value})")
+        return self
 
-    # Cached because the link steps read them every step; cached_property writes the
-    # instance __dict__, so it works frozen and fields(), asdict, eq and hash ignore it.
+    # Computed on first read and kept in the instance __dict__, outside the tuple,
+    # so equality, hashing and the fields see only the five inputs.
     @cached_property
     def free_flow_time(self) -> float:
         """T1 = L/V [hr]."""
@@ -67,8 +64,7 @@ class LinkParams:
         return self.storage / self.traverse_time
 
 
-@dataclass(frozen=True)
-class QueueSpec:
+class QueueSpec(namedtuple("QueueSpec", "capacity initial", defaults=(0.0,))):
     """Point-queue storage description.
 
     ``capacity`` is the maximum content [veh]; ``None`` means unbounded
@@ -76,18 +72,16 @@ class QueueSpec:
     large sentinel number).  ``initial`` is the content at t = 0.
     """
 
-    capacity: float | None
-    initial: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.capacity is not None and self.capacity <= 0:
-            raise ValueError(f"capacity must be positive or None (got {self.capacity})")
-        if self.initial < 0:
-            raise ValueError(f"initial content must be nonnegative (got {self.initial})")
-        if self.capacity is not None and self.initial > self.capacity:
-            raise ValueError(
-                f"initial content {self.initial} exceeds capacity {self.capacity}"
-            )
+    def __new__(cls, capacity, initial=0.0):
+        if capacity is not None and capacity <= 0:
+            raise ValueError(f"capacity must be positive or None (got {capacity})")
+        if initial < 0:
+            raise ValueError(f"initial content must be nonnegative (got {initial})")
+        if capacity is not None and initial > capacity:
+            raise ValueError(f"initial content {initial} exceeds capacity {capacity}")
+        return super().__new__(cls, capacity, initial)
 
     @classmethod
     def unbounded(cls, initial: float = 0.0) -> "QueueSpec":

@@ -27,40 +27,51 @@ construction, without accumulating drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, sub
-from typing import NamedTuple
 
-from .links import QueueSpec
 from .point_queue import PqModel, _new_tuple
 
 __all__ = ["TandemQueue", "TandemSpec", "TandemState", "step_tandem"]
 
 
-@dataclass(frozen=True)
-class TandemQueue:
-    spec: QueueSpec
-    model: PqModel = PqModel.PQM1
+class TandemQueue(namedtuple("TandemQueue", "spec model", defaults=(PqModel.PQM1,))):
+    """One queue of a tandem: its ``QueueSpec`` and its variant."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TandemSpec:
-    """Ordered queues from origin to destination."""
+    """Ordered queues (a tuple of ``TandemQueue``) from origin to destination; immutable.
 
-    queues: tuple[TandemQueue, ...]
+    Slots rather than a namedtuple: the step reads two derived tuples every
+    step, and a tuple subclass's instance-dict reads cost about twice a slot's.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "queues", tuple(self.queues))
-        if not self.queues:
+    __slots__ = ("queues", "_with_feed", "_upstream_supply")
+
+    def __init__(self, queues):
+        queues = tuple(queues)
+        if not queues:
             raise ValueError("a tandem needs at least one queue")
         # What the step reads per queue, taken once: demand flags origin to
         # destination, (capacity, supply flag) destination to origin.
-        object.__setattr__(self, "_with_feed", tuple(q.model.demand_includes_feed for q in self.queues))
-        object.__setattr__(
-            self,
-            "_upstream_supply",
-            tuple((q.spec.capacity, q.model.supply_includes_service) for q in reversed(self.queues)),
-        )
+        object.__setattr__(self, "queues", queues)
+        object.__setattr__(self, "_with_feed", tuple(q.model.demand_includes_feed for q in queues))
+        upstream = tuple((q.spec.capacity, q.model.supply_includes_service) for q in reversed(queues))
+        object.__setattr__(self, "_upstream_supply", upstream)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TandemSpec is immutable (cannot assign {name!r})")
+
+    def __repr__(self) -> str:
+        return f"TandemSpec(queues={self.queues!r})"
+
+    def __eq__(self, other):
+        return self.queues == other.queues if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.queues,))
 
     @property
     def mixed_models(self) -> bool:
@@ -68,11 +79,10 @@ class TandemSpec:
         return len({q.model for q in self.queues}) > 1
 
 
-class TandemState(NamedTuple):
-    """Cumulative inflow/outflow per queue; queue lengths are derived."""
+class TandemState(namedtuple("TandemState", "arrivals departures")):
+    """Cumulative inflow/outflow lists per queue; queue lengths are derived."""
 
-    arrivals: list[float]
-    departures: list[float]
+    __slots__ = ()
 
     @classmethod
     def initial(cls, spec: TandemSpec) -> "TandemState":

@@ -47,9 +47,8 @@ builtin call's cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 __all__ = [
     "PqModel",
@@ -82,14 +81,14 @@ class Formulation(Enum):
     CUMULATIVE = "B"  # cumulative in/out flows are the state variables
 
 
-@dataclass(frozen=True)
-class PqVariant:
-    model: PqModel
-    formulation: Formulation = Formulation.QUEUE
+class PqVariant(namedtuple("PqVariant", "model formulation", defaults=(Formulation.QUEUE,))):
+    """A ``PqModel`` and the ``Formulation`` that carries its state."""
+
+    __slots__ = ()
 
 
-class PqState(NamedTuple):
-    """Point-queue state: queue length plus cumulative in/out flows.
+class PqState(namedtuple("PqState", "queue arrivals departures")):
+    """Point-queue state: queue length plus cumulative in/out flows F and G [veh].
 
     ``queue`` is authoritative under formulation A; under formulation B it
     is always ``arrivals - departures``.  Conventions: arrivals(0) equals
@@ -97,9 +96,7 @@ class PqState(NamedTuple):
     new state.
     """
 
-    queue: float
-    arrivals: float  # F, cumulative inflow [veh]
-    departures: float  # G, cumulative outflow [veh]
+    __slots__ = ()
 
     @classmethod
     def initial(cls, content) -> "PqState":
@@ -149,7 +146,7 @@ def _step_with_volumes(model: PqModel, lam, feed, service, capacity, clamp: bool
 
 
 _CUMULATIVE = Formulation.CUMULATIVE
-_new_tuple = tuple.__new__  # builds a state tuple without NamedTuple.__new__'s Python frame
+_new_tuple = tuple.__new__  # builds a state tuple without namedtuple.__new__'s Python frame
 
 
 def _advance_state(variant: PqVariant, state: PqState, step, feed, service, capacity, clamp) -> PqState:

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import cached_property
+from itertools import accumulate
 
 __all__ = [
     "Profile",
@@ -53,6 +55,8 @@ def _check_step(dt: float) -> None:
 class Profile:
     """Interface shared by all rate profiles."""
 
+    __slots__ = ()
+
     def rate_at(self, t: float) -> float:
         """Instantaneous rate [veh/hr] at time t [hr]."""
         raise NotImplementedError
@@ -74,13 +78,13 @@ class Profile:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Constant(Profile):
-    rate: float
+class Constant(namedtuple("Constant", "rate"), Profile):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError(f"rate must be nonnegative (got {self.rate})")
+    def __new__(cls, rate):
+        if rate < 0:
+            raise ValueError(f"rate must be nonnegative (got {rate})")
+        return super().__new__(cls, rate)
 
     def rate_at(self, t: float) -> float:
         _check_time(t)
@@ -99,22 +103,16 @@ class Constant(Profile):
         return self.rate
 
 
-@dataclass(frozen=True)
-class PiecewiseConstant(Profile):
+class PiecewiseConstant(namedtuple("PiecewiseConstant", "breakpoints rates"), Profile):
     """Step function: ``rates[i]`` applies on ``[breakpoints[i], breakpoints[i+1])``.
 
     ``breakpoints`` must start at 0 and be strictly increasing; the last
-    rate extends to infinity.
+    rate extends to infinity.  Both are stored as tuples of floats.
     """
 
-    breakpoints: tuple[float, ...]
-    rates: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        bp = tuple(float(b) for b in self.breakpoints)
-        r = tuple(float(x) for x in self.rates)
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "rates", r)
+    def __new__(cls, breakpoints, rates):
+        bp = tuple(float(b) for b in breakpoints)
+        r = tuple(float(x) for x in rates)
         if len(bp) != len(r) or not bp:
             raise ValueError("breakpoints and rates must have equal, nonzero length")
         if bp[0] != 0.0:
@@ -123,10 +121,13 @@ class PiecewiseConstant(Profile):
             raise ValueError("breakpoints must be strictly increasing")
         if any(x < 0 for x in r):
             raise ValueError("rates must be nonnegative")
-        cum = [0.0]
-        for i in range(1, len(bp)):
-            cum.append(cum[-1] + r[i - 1] * (bp[i] - bp[i - 1]))
-        object.__setattr__(self, "_cum", tuple(cum))
+        return super().__new__(cls, bp, r)
+
+    @cached_property
+    def _cum(self) -> tuple[float, ...]:
+        """The integral up to each breakpoint."""
+        bp, rates = self
+        return tuple(accumulate((r * (b1 - b0) for r, b0, b1 in zip(rates, bp, bp[1:])), initial=0.0))
 
     def rate_at(self, t: float) -> float:
         _check_time(t)
@@ -152,24 +153,23 @@ class PiecewiseConstant(Profile):
         return max(self.rates)
 
 
-@dataclass(frozen=True)
-class SineFloor(Profile):
+class SineFloor(namedtuple("SineFloor", "amplitude floor"), Profile):
     """``max(amplitude * sin(pi * t), floor)`` with amplitude > floor >= 0.
 
     Use :func:`sine_floor` when the inputs may degenerate (amplitude <=
     floor), in which case the profile is a plain :class:`Constant`.
     """
 
-    amplitude: float
-    floor: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.amplitude > self.floor >= 0:
+    def __new__(cls, amplitude, floor):
+        if not amplitude > floor >= 0:
             raise ValueError(
                 "SineFloor requires amplitude > floor >= 0 "
-                f"(got amplitude={self.amplitude}, floor={self.floor}); "
+                f"(got amplitude={amplitude}, floor={floor}); "
                 "use sine_floor() to normalize the degenerate case"
             )
+        return super().__new__(cls, amplitude, floor)
 
     @property
     def crossing_time(self) -> float:

@@ -29,18 +29,22 @@ Every run validates the grid (dt, horizon, a whole number of at most
 reports the violated bound by name; ``unsafe`` skips only those bound
 checks, never structural ones.  Runs are deterministic: identical
 scenarios produce byte-identical CSV files.
+
+``Scenario``, like most of the package's frozen records, is a
+``collections.namedtuple`` subclass: compared and hashed by value, checked
+in ``__new__`` where it has checks, and cheap to create on import, which
+every CLI process pays for.  ``_replace`` and ``_make`` skip ``__new__``,
+so only a type without checks (``Scenario``) is rebuilt through them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from functools import partial
-from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import approx, point_queue
 from .errors import ScenarioError, ValidationError
@@ -48,8 +52,8 @@ from .link_models import LqmSimulation, LtmSimulation
 from .links import LinkParams, QueueSpec
 from .network import TandemQueue, TandemSpec, TandemState, step_tandem
 from .point_queue import Formulation, PqModel, well_definedness_bound
-from .profiles import Profile, profile_from_dict
-from .trajectory import Trajectory, TrajectoryStats, sup_distance
+from .profiles import profile_from_dict
+from .trajectory import Trajectory, sup_distance
 
 __all__ = [
     "Scenario",
@@ -63,26 +67,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Scenario:
-    model: str
-    demand: Profile
-    supply: Profile
-    dt: float
-    horizon: float
-    queue: QueueSpec | None = None
-    link: LinkParams | None = None
-    link_initial: float = 0.0
-    tandem: TandemSpec | None = None
-    epsilon: float | None = None
-    formulation: Formulation = Formulation.QUEUE
-    unsafe: bool = False
-    output: str | None = None
-    source: str = "<scenario>"
+class Scenario(
+    namedtuple(
+        "Scenario",
+        "model demand supply dt horizon queue link link_initial tandem epsilon formulation unsafe output source",
+        defaults=(None, None, 0.0, None, None, Formulation.QUEUE, False, None, "<scenario>"),
+    )
+):
+    """A parsed scenario; ``queue``, ``link``, ``tandem``, ``epsilon`` and ``output`` are None when absent."""
+
+    __slots__ = ()
 
     def with_overrides(self, **kwargs) -> "Scenario":
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs)
+        return self._replace(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 def _reject_non_finite(value, source: str, path: str = "") -> None:
@@ -123,7 +120,7 @@ def _queue_spec(doc: dict, source: str) -> QueueSpec:
 
 def _link_params(doc: dict, source: str) -> LinkParams:
     try:
-        return LinkParams(**{f.name: _field(doc, f.name, float, source) for f in fields(LinkParams)})
+        return LinkParams(*(_field(doc, name, float, source) for name in LinkParams._fields))
     except ValueError as exc:
         raise ScenarioError(f"{source}: link: {exc}") from None
 
@@ -259,13 +256,23 @@ _NEEDS = {
 def _check_queue_bound(
     scenario: Scenario, who: str, var: str, value: float, model: PqModel, capacity: float | None
 ) -> None:
-    """Raise unless ``value`` (dt, or eps for a relaxed model) is within a point queue's bound."""
+    """Raise unless ``value`` (dt, or eps for a relaxed model) is within a point queue's bound.
+
+    A finite bound is capacity/rate; ``value * rate <= capacity`` is decided exactly on the
+    floats' integer ratios, as the float quotient can lie half an ulp past the true bound.
+    """
     bound = well_definedness_bound(model, scenario.demand.max_rate, scenario.supply.max_rate, capacity)
-    if value > bound:
-        limiter = "capacity/sigma_max" if model is PqModel.PQM3 else "capacity/delta_max"
-        raise ValidationError(
-            f"{scenario.source}: {who} requires {var} <= {limiter} = {bound:.4g} hr (got {var} = {value:g})"
-        )
+    if bound == math.inf:
+        return
+    rate = scenario.supply.max_rate if model is PqModel.PQM3 else scenario.demand.max_rate
+    if rate < math.inf:  # an infinite rate (bound 0) admits no step
+        (v, v_den), (r, r_den), (c, c_den) = (x.as_integer_ratio() for x in (value, rate, capacity))
+        if v * r * c_den <= c * v_den * r_den:
+            return
+    limiter = "capacity/sigma_max" if model is PqModel.PQM3 else "capacity/delta_max"
+    raise ValidationError(
+        f"{scenario.source}: {who} requires {var} <= {limiter} = {bound:.4g} hr (got {var} = {value:g})"
+    )
 
 
 def _check_point(scenario: Scenario, name: str) -> None:
@@ -297,17 +304,17 @@ def _check_tandem(scenario: Scenario, name: str) -> None:
         _check_queue_bound(scenario, who, "dt", scenario.dt, member.model, member.spec.capacity)
 
 
-def _step_rates(scenario: Scenario, n: int, exact: bool = False):
+def _step_rates(scenario: Scenario, n: int, conv=None):
     """(delta, sigma) at the start of each of n steps, sampled once per run.
 
     Iterate it in the ``for`` statement itself: the sampled lists then go
     when the loop ends, before the run builds its time column, so they add
-    nothing to the run's peak memory.  ``exact`` yields Fractions.
+    nothing to the run's peak memory.  ``conv`` (such as Fraction) converts each rate.
     """
     deltas = scenario.demand.rates_on_grid(n, scenario.dt)
     sigmas = scenario.supply.rates_on_grid(n, scenario.dt)
-    if exact:
-        return zip(map(Fraction, deltas), map(Fraction, sigmas))
+    if conv is not None:
+        return zip(map(conv, deltas), map(conv, sigmas))
     return zip(deltas, sigmas)
 
 
@@ -321,7 +328,9 @@ def _run_point(
     n = round(scenario.horizon / dt)
     clamp = not scenario.unsafe
     cumulative = scenario.formulation is Formulation.CUMULATIVE
-    conv = Fraction if exact else float
+    conv = float
+    if exact:  # imported here: only exact runs pay for fractions (and decimal)
+        from fractions import Fraction as conv
     cap = queue.capacity if queue.capacity is None else conv(queue.capacity)
     lam = arrivals = conv(queue.initial)
     departures = lam * 0
@@ -331,7 +340,7 @@ def _run_point(
     else:
         step, vol_dt = point_queue._step_with_volumes, conv(dt)
     queues, arrs, deps, fin, fout = [], [], [], [], []
-    for delta, sigma in _step_rates(scenario, n, exact):
+    for delta, sigma in _step_rates(scenario, n, conv if exact else None):
         queues.append(lam)
         arrs.append(arrivals)
         deps.append(departures)
@@ -356,7 +365,7 @@ def _run_point(
 def _run_vickrey(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
     """PQM1 with unbounded storage; a 'queue' section only sets the initial content."""
     initial = 0.0 if scenario.queue is None else scenario.queue.initial
-    return _run_point(replace(scenario, queue=QueueSpec.unbounded(initial)), name, exact, model=PqModel.PQM1)
+    return _run_point(scenario._replace(queue=QueueSpec.unbounded(initial)), name, exact, model=PqModel.PQM1)
 
 
 def _run_link(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
@@ -428,7 +437,7 @@ def _tandem_notes(scenario: Scenario, trajectories: list[Trajectory]) -> dict:
     }
 
 
-class ModelSpec(NamedTuple):
+class ModelSpec(namedtuple("ModelSpec", "needs check run notes exact", defaults=(None, False))):
     """One row of the model table.
 
     ``needs`` names the Scenario fields the model cannot run without,
@@ -440,11 +449,7 @@ class ModelSpec(NamedTuple):
     ``exact`` marks the models that can run on ``Fraction`` arithmetic.
     """
 
-    needs: tuple[str, ...]
-    check: Callable[[Scenario, str], None] | None
-    run: Callable[[Scenario, str, bool], list[Trajectory]]
-    notes: Callable[[Scenario, list[Trajectory]], dict] | None = None
-    exact: bool = False
+    __slots__ = ()
 
 
 MODELS: dict[str, ModelSpec] = {
@@ -492,15 +497,21 @@ def simulate_model(scenario: Scenario, model_name: str | None = None, exact: boo
     return MODELS[name].run(scenario, name, exact)
 
 
-@dataclass
 class RunReport:
-    """Everything a run produced: trajectories, stats, distances, notes, files."""
+    """Everything a run produced: trajectories, stats, distances, notes, files.
 
-    trajectories: dict[str, Trajectory]
-    stats: dict[str, TrajectoryStats]
-    distances: dict[tuple[str, str], float] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-    csv_paths: dict[str, Path] = field(default_factory=dict)
+    Dicts keyed by label (a pair of labels for ``distances``); the last three default to new empty dicts.
+    """
+
+    __slots__ = ("trajectories", "stats", "distances", "metadata", "csv_paths")
+    __repr__ = Trajectory.__repr__  # both read the field names off __slots__
+    __eq__ = Trajectory.__eq__
+
+    def __init__(self, trajectories, stats, distances=None, metadata=None, csv_paths=None):
+        self.trajectories, self.stats = trajectories, stats
+        self.distances = {} if distances is None else distances
+        self.metadata = {} if metadata is None else metadata
+        self.csv_paths = {} if csv_paths is None else csv_paths
 
     @property
     def max_distance(self) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 __all__ = ["Trajectory", "TrajectoryStats", "sup_distance", "CSV_COLUMNS"]
@@ -25,14 +25,19 @@ _CSV_ROW = ",".join(["{!r}"] * len(CSV_COLUMNS)) + "\r\n"
 VANISH_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class TrajectoryStats:
-    max_queue: float
-    max_queue_time: float | None
-    first_positive_time: float | None
-    dissipation_start_time: float | None  # last time the maximum is attained
-    vanish_time: float | None  # first time at/below VANISH_EPS after the peak
-    min_queue_after_peak: float | None
+class TrajectoryStats(
+    namedtuple(
+        "TrajectoryStats",
+        "max_queue max_queue_time first_positive_time dissipation_start_time vanish_time min_queue_after_peak",
+    )
+):
+    """Queue events of a run; every field but ``max_queue`` is None when no queue forms.
+
+    ``dissipation_start_time`` is the last time the maximum is attained,
+    ``vanish_time`` the first time at/below VANISH_EPS after the peak.
+    """
+
+    __slots__ = ()
 
     def describe(self) -> str:
         def fmt(x):
@@ -47,24 +52,26 @@ class TrajectoryStats:
         )
 
 
-@dataclass
 class Trajectory:
-    """One row per step: state at the step start plus the step's fluxes."""
+    """One row per step: state at the step start plus the step's fluxes; the columns are lists."""
 
-    label: str
-    dt: float
-    times: list[float]
-    queue: list[float]
-    arrivals: list[float]
-    departures: list[float]
-    inflow_rate: list[float]
-    outflow_rate: list[float]
+    __slots__ = ("label", "dt", "times", "queue", "arrivals", "departures", "inflow_rate", "outflow_rate")
 
-    def __post_init__(self) -> None:
-        n = len(self.times)
-        for name in ("queue", "arrivals", "departures", "inflow_rate", "outflow_rate"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name} has length {len(getattr(self, name))}, expected {n}")
+    def __init__(self, label, dt, times, queue, arrivals, departures, inflow_rate, outflow_rate):
+        self.label, self.dt, self.times, self.queue = label, dt, times, queue
+        self.arrivals, self.departures = arrivals, departures
+        self.inflow_rate, self.outflow_rate = inflow_rate, outflow_rate
+        for name in self.__slots__[3:]:
+            if len(getattr(self, name)) != len(times):
+                raise ValueError(f"column {name} has length {len(getattr(self, name))}, expected {len(times)}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, k) for k in self.__slots__] == [getattr(other, k) for k in self.__slots__]
 
     def __len__(self) -> int:
         return len(self.times)

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import asdict
 
 import pytest
 
@@ -88,7 +87,7 @@ class TestLqmStep:
             "model": "lqm",
             "demand": {"type": "constant", "rate": 1000},
             "supply": {"type": "constant", "rate": 1000},
-            "link": asdict(STANDARD),
+            "link": STANDARD._asdict(),
             "dt": 0.02,  # T1 = 1/60
             "horizon": 1.0,
         }

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -168,7 +167,7 @@ class TestSerialization:
         """A profile's fields under its type tag parse back to an equal profile."""
         tags = {Constant: "constant", PiecewiseConstant: "piecewise_constant", SineFloor: "sine_floor"}
         for p in (Constant(1200), PiecewiseConstant((0.0, 1.0), (1.0, 2.0)), SineFloor(2000, 1000)):
-            assert profile_from_dict({"type": tags[type(p)], **asdict(p)}) == p
+            assert profile_from_dict({"type": tags[type(p)], **p._asdict()}) == p
 
     def test_tagged_record_form(self):
         p = profile_from_dict({"type": "sine_floor", "amplitude": 2000, "floor": 1000})

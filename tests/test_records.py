@@ -1,0 +1,212 @@
+"""The record types' contract, and what importing the CLI loads.
+
+The frozen records are ``collections.namedtuple`` subclasses, except
+``TandemSpec``, which like ``Trajectory`` and ``RunReport`` is a plain
+``__slots__`` class; none is a dataclass, so ``import pqsim.cli`` loads
+neither ``dataclasses`` nor ``typing``.  One table pins, per public type:
+field names and order, defaults, equality (and hashing where the type is
+frozen), that assigning a field raises ``AttributeError``, the
+``Name(field=...)`` repr, and every constructor check.
+"""
+
+import inspect
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from pqsim import (
+    Constant,
+    EpsilonConfig,
+    Formulation,
+    LinkParams,
+    PiecewiseConstant,
+    PqModel,
+    PqState,
+    PqVariant,
+    QueueSpec,
+    RunReport,
+    Scenario,
+    SineFloor,
+    StationaryResult,
+    TandemQueue,
+    TandemSpec,
+    TandemState,
+    Trajectory,
+    TrajectoryStats,
+    VickreySolution,
+)
+from pqsim.scenario import ModelSpec
+
+ROOT = Path(__file__).resolve().parents[1]
+QUEUE = QueueSpec(200.0)
+COLUMN = [0.0]
+
+
+def _record(cls, args, fields, defaults=None, frozen=True, bad=()):
+    """One table row: ``args`` build a valid instance; ``bad`` lists (args, message) pairs that must raise."""
+    return pytest.param(cls, args, fields.split(), defaults or {}, frozen, bad, id=cls.__name__)
+
+
+RECORDS = [
+    _record(
+        Scenario,
+        ("pqm1", Constant(1.0), Constant(2.0), 0.1, 1.0),
+        "model demand supply dt horizon queue link link_initial tandem epsilon formulation unsafe output source",
+        {
+            "queue": None,
+            "link": None,
+            "link_initial": 0.0,
+            "tandem": None,
+            "epsilon": None,
+            "formulation": Formulation.QUEUE,
+            "unsafe": False,
+            "output": None,
+            "source": "<scenario>",
+        },
+    ),
+    _record(
+        QueueSpec,
+        (200.0, 10.0),
+        "capacity initial",
+        {"initial": 0.0},
+        bad=[
+            ((0.0,), "capacity must be positive or None"),
+            ((10.0, -1.0), "initial content must be nonnegative"),
+            ((10.0, 11.0), "initial content 11.0 exceeds capacity 10.0"),
+            ((None, -1.0), "initial content must be nonnegative"),
+        ],
+    ),
+    _record(
+        LinkParams,
+        (1.0, 2.0, 60.0, 20.0, 150.0),
+        "length lanes free_flow_speed wave_speed jam_density",
+        bad=[
+            (tuple(0.0 if j == i else 1.0 for j in range(5)), f"{name} must be strictly positive")
+            for i, name in enumerate(("length", "lanes", "free_flow_speed", "wave_speed", "jam_density"))
+        ],
+    ),
+    _record(TandemQueue, (QUEUE, PqModel.PQM3), "spec model", {"model": PqModel.PQM1}),
+    _record(TandemSpec, ((TandemQueue(QUEUE),),), "queues", bad=[(((),), "at least one queue")]),
+    _record(PqVariant, (PqModel.PQM2, Formulation.CUMULATIVE), "model formulation", {"formulation": Formulation.QUEUE}),
+    _record(
+        EpsilonConfig,
+        (0.1, 0.05, True),
+        "epsilon dt unsafe",
+        {"unsafe": False},
+        bad=[
+            ((0.0, 0.1), "epsilon must be positive"),
+            ((0.1, 0.0), "dt must be positive"),
+            ((0.1, 0.2), r"require dt <= epsilon \(got dt=0.2, epsilon=0.1\)"),
+        ],
+    ),
+    _record(Constant, (1200.0,), "rate", bad=[((-1.0,), "rate must be nonnegative")]),
+    _record(
+        PiecewiseConstant,
+        ((0.0, 1.0), (1.0, 2.0)),
+        "breakpoints rates",
+        bad=[
+            (((0.0, 1.0), (1.0,)), "equal, nonzero length"),
+            (((), ()), "equal, nonzero length"),
+            (((1.0,), (1.0,)), "first breakpoint must be 0"),
+            (((0.0, 0.0), (1.0, 1.0)), "strictly increasing"),
+            (((0.0,), (-1.0,)), "rates must be nonnegative"),
+        ],
+    ),
+    _record(
+        SineFloor,
+        (2000.0, 1000.0),
+        "amplitude floor",
+        bad=[((1000.0, 1000.0), "amplitude > floor >= 0"), ((1000.0, -1.0), "amplitude > floor >= 0")],
+    ),
+    _record(
+        TrajectoryStats,
+        (5.0, 0.5, 0.1, 0.6, 0.9, 0.0),
+        "max_queue max_queue_time first_positive_time dissipation_start_time vanish_time min_queue_after_peak",
+    ),
+    _record(StationaryResult, (0.0, 1.0, 2.0, True), "queue_lo queue_hi flux limit_of_discrete", {"limit_of_discrete": False}),
+    _record(VickreySolution, (0.1, (0.0,), (0.0,), (0.0,), (0.0,), None), "dt grid arrivals departures queue waiting"),
+    _record(PqState, (1.0, 1.0, 0.0), "queue arrivals departures"),
+    _record(TandemState, ((1.0, 2.0), (0.0, 0.0)), "arrivals departures"),
+    _record(ModelSpec, (("queue",), None, print), "needs check run notes exact", {"notes": None, "exact": False}),
+    _record(
+        Trajectory,
+        ("x", 0.1, COLUMN, COLUMN, COLUMN, COLUMN, COLUMN, COLUMN),
+        "label dt times queue arrivals departures inflow_rate outflow_rate",
+        frozen=False,
+        bad=[
+            (("x", 0.1, COLUMN, [], COLUMN, COLUMN, COLUMN, COLUMN), "column queue has length 0, expected 1"),
+            (("x", 0.1, COLUMN, COLUMN, COLUMN, COLUMN, COLUMN, [1.0, 2.0]), "column outflow_rate has length 2"),
+        ],
+    ),
+    _record(
+        RunReport,
+        ({}, {}),
+        "trajectories stats distances metadata csv_paths",
+        {"distances": {}, "metadata": {}, "csv_paths": {}},
+        frozen=False,
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, args, fields, defaults, frozen, bad", RECORDS)
+def test_record_contract(cls, args, fields, defaults, frozen, bad):
+    assert list(inspect.signature(cls).parameters) == fields
+    required = len(fields) - len(defaults)
+    assert list(defaults) == fields[required:]
+    bare = cls(*args[:required])
+    assert {name: getattr(bare, name) for name in defaults} == defaults
+
+    record, twin = cls(*args), cls(*args)
+    assert [getattr(record, name) for name in fields] == [*args, *list(defaults.values())[len(args) - required:]]
+    assert record == twin and not record != twin
+    assert repr(record).startswith(f"{cls.__name__}({fields[0]}={args[0]!r}")
+    if frozen:
+        assert hash(record) == hash(twin)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+        if defaults:  # mutable defaults are fresh per instance
+            assert getattr(bare, fields[-1]) is not getattr(cls(*args[:required]), fields[-1])
+    for bad_args, message in bad:
+        with pytest.raises(ValueError, match=message):
+            cls(*bad_args)
+
+
+def test_cached_values_read_as_plain_attributes():
+    """Derived values are computed once, then read from the instance dict or, for the tandem step's, a slot."""
+    link = LinkParams(1.0, 1.0, 60.0, 20.0, 150.0)
+    assert (link.storage, link.capacity) == (150.0, 2250.0) and "capacity" in vars(link)
+    spec = TandemSpec([TandemQueue(QueueSpec(None)), TandemQueue(QUEUE, PqModel.PQM2)])
+    assert spec._with_feed == (True, False) and spec._upstream_supply == ((200.0, False), (None, True))
+    assert type(spec.queues) is tuple and not hasattr(spec, "__dict__")
+    profile = PiecewiseConstant([0, 1], [3, 5])
+    assert profile.breakpoints == (0.0, 1.0) and type(profile.rates[0]) is float
+    assert profile.cumulative(2.0) == 8.0 and vars(profile)["_cum"] == (0.0, 3.0)
+
+
+def test_cli_import_leaves_out_dataclasses_typing_and_fractions():
+    """A fresh interpreter without ``site`` (which preloads ``typing`` on some hosts) imports the CLI.
+
+    Then an exact run still imports ``fractions`` on demand and records what the same run records here.
+    """
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import pqsim.cli\n"
+        "print([m for m in ('dataclasses', 'typing', 'inspect', 'fractions', 'decimal') if m in sys.modules])\n"
+        "from pqsim.scenario import load_scenario, simulate_model\n"
+        "(traj,) = simulate_model(load_scenario(sys.argv[2]).with_overrides(horizon=0.2), exact=True)\n"
+        "print('fractions' in sys.modules, traj.queue)\n"
+    )
+    path = ROOT / "scenarios" / "sine_floor_single_queue.json"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(ROOT / "src"), str(path)], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    from pqsim.scenario import load_scenario, simulate_model
+
+    (traj,) = simulate_model(load_scenario(path).with_overrides(horizon=0.2), exact=True)
+    assert done.stdout.splitlines() == ["[]", f"True {traj.queue!r}"]

@@ -4,11 +4,11 @@
 rule once per step.  The oracle here rebuilds every recorded cell with one
 ``step_pq``/``step_eps`` call per step and compares by ``repr`` and type.
 The properties run on random scenarios within each model's dt and eps
-bounds: formulations A and B coincide under ``Fraction`` arithmetic, and
-with the clamp off the queue stays in [0, capacity].
+bounds: formulations A and B coincide under ``Fraction`` arithmetic, with
+the clamp off the queue stays in [0, capacity], and lambda = F - G holds
+(exactly in B and under ``Fraction``, to a round-off bound in A).
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,7 +64,7 @@ def point_scenarios(draw, name: str, unsafe: bool | None = None) -> Scenario:
         epsilon, step = step, step * draw(st.one_of(st.sampled_from((1.0, 0.5)), st.floats(0.05, 1.0)))
     horizon = draw(st.integers(1, 30)) * step
     cuts = st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=2)
-    return Scenario(
+    scenario = Scenario(
         model=name,
         demand=_piecewise(demand, draw(cuts), horizon),
         supply=_piecewise(supply, draw(cuts), horizon),
@@ -75,13 +75,15 @@ def point_scenarios(draw, name: str, unsafe: bool | None = None) -> Scenario:
         formulation=draw(st.sampled_from(Formulation)),
         unsafe=unsafe,
     )
+    assume(unsafe or _exactly_admissible(scenario, name))
+    return scenario
 
 
 def _exactly_admissible(scenario: Scenario, name: str) -> bool:
     """The PQM3/PQM4 bound as a rational inequality, as the paper states it.
 
-    ``validate_model`` compares dt with capacity/sigma_max rounded to a
-    float, which can admit a step half an ulp past the exact bound.
+    ``point_scenarios`` draws up to the bound rounded to a float, which can
+    lie half an ulp past this one; ``validate_model`` rejects such a step.
     """
     model = _model(name)
     rate = {PqModel.PQM3: scenario.supply.max_rate, PqModel.PQM4: scenario.demand.max_rate}.get(model)
@@ -168,8 +170,7 @@ def test_recorded_cells_equal_a_step_by_step_replay(name, data):
 @given(data=st.data())
 def test_formulations_a_and_b_coincide_under_fractions(name, data):
     scenario = data.draw(point_scenarios(name, unsafe=False))
-    assume(_exactly_admissible(scenario, name))
-    a, b = (simulate_model(replace(scenario, formulation=f), name, exact=True)[0] for f in Formulation)
+    a, b = (simulate_model(scenario._replace(formulation=f), name, exact=True)[0] for f in Formulation)
     assert _recorded(a) == _recorded(b)
 
 
@@ -179,10 +180,52 @@ def test_formulations_a_and_b_coincide_under_fractions(name, data):
 def test_queue_stays_within_capacity_inside_the_bounds(name, data):
     """Exact arithmetic with the clamp off: the bounds alone keep 0 <= lam <= capacity."""
     scenario = data.draw(point_scenarios(name, unsafe=False))
-    assume(_exactly_admissible(scenario, name))
     validate_model(scenario, name)
-    states, _ = _replay(replace(scenario, unsafe=True), name, exact=True)
+    states, _ = _replay(scenario._replace(unsafe=True), name, exact=True)
     capacity = None if name == "vickrey" else Fraction(scenario.queue.capacity)
     for state in states:
         assert 0 <= state.queue and (capacity is None or state.queue <= capacity)
 
+
+# Unit round-off of doubles: a rounded +, - or * is off by at most U times the size of its result.
+U = 2.0**-53
+
+
+@pytest.mark.parametrize("name", POINT_ROWS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_conservation_in_floats(name, data):
+    """Formulation B records lambda == F - G on every row; in A the gap grows at most linearly in the steps.
+
+    The bound for A.  Let d_k = F_k - G_k - lambda_k (d_0 = 0) and M the sum of
+    the run's largest |F|, |G| and |lambda|, the capacity and the largest step
+    volume, which bounds every number a step computes.  A step adds its inflow
+    to F and its outflow to G (one rounding each) and sets lambda to lambda +
+    inflow - outflow up to: the exact rule's roundings of feed + lambda, of
+    lambda - service (which can also pick the other branch of a max near a
+    tie, hence counted twice) and of the final sum, or the relaxed rule's
+    roundings of inflow - outflow and of the sum; and the clamp, which moves
+    lambda toward [0, C], where lambda + inflow - outflow lies to within two
+    roundings.  So |d_k+1 - d_k| <= 8*U*M and |d_k| <= 8*k*U*M.
+    """
+    scenario = data.draw(point_scenarios(name))
+    (traj,) = simulate_model(scenario, name)
+    rows = list(zip(traj.queue, traj.arrivals, traj.departures))
+    if scenario.formulation is Formulation.CUMULATIVE:
+        assert all(lam == f - g for lam, f, g in rows)
+        return
+    volume = max(scenario.demand.max_rate, scenario.supply.max_rate) * scenario.dt
+    size = max(map(abs, traj.arrivals)) + max(map(abs, traj.departures)) + max(map(abs, traj.queue))
+    size += volume + (0.0 if name == "vickrey" else scenario.queue.capacity)
+    for k, (lam, f, g) in enumerate(rows):
+        assert abs(Fraction(f) - Fraction(g) - Fraction(lam)) <= 8 * k * Fraction(U) * Fraction(size)
+
+
+@pytest.mark.parametrize("name", POINT_ROWS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_conservation_is_exact_under_fractions(name, data):
+    """lambda = F - G on every state of A and B: with the clamp off anywhere, with it on inside the bounds."""
+    scenario = data.draw(point_scenarios(name))
+    states, _ = _replay(scenario, name, exact=True)
+    assert all(state.queue == state.arrivals - state.departures for state in states)

@@ -2,12 +2,13 @@
 
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
 import pqsim
 from pqsim import (
+    Constant,
+    Formulation,
     ScenarioError,
     Trajectory,
     ValidationError,
@@ -65,7 +66,7 @@ class TestParsing:
     def test_round_trip_through_dict(self, tmp_path):
         """The document loaded from a file and parsed as a dict give one scenario, bar its source."""
         path = make(tmp_path / "s.json", BASE)
-        assert load_scenario(path) == replace(scenario_from_dict(dict(BASE)), source=str(path))
+        assert load_scenario(path) == scenario_from_dict(dict(BASE))._replace(source=str(path))
 
     def test_tandem_queues_parsed(self):
         doc = dict(BASE, model="tandem", queues=[
@@ -87,6 +88,30 @@ class TestValidation:
         doc = dict(BASE, model="pqm4", dt=0.15, horizon=1.5)  # bound 200/2000 = 0.1; 10 whole steps
         with pytest.raises(ValidationError, match="capacity/delta_max = 0.1"):
             simulate_model(scenario_from_dict(doc))
+
+    def test_bound_is_decided_exactly(self):
+        """dt = capacity/sigma_max as a float lies half an ulp past the bound, where exact A and B leave [0, C]."""
+        capacity, sigma = 250.66240133911356, 263.0499081000126
+        dt = capacity / sigma
+        doc = dict(
+            BASE,
+            model="pqm3",
+            demand={"type": "constant", "rate": 5000},
+            supply={"type": "constant", "rate": sigma},
+            queue={"capacity": capacity, "initial": capacity},
+            dt=dt,
+            horizon=dt,
+        )
+        with pytest.raises(ValidationError, match=r"PQM3-D requires dt <= capacity/sigma_max = 0.9529 hr"):
+            simulate_model(scenario_from_dict(doc), exact=True)
+        with pytest.raises(ValidationError, match=r"capacity/sigma_max = 0 hr"):  # only the Python API takes inf
+            simulate_model(scenario_from_dict(doc)._replace(supply=Constant(math.inf)))
+        # The next float down is within the bound: there exact A and B agree and stay in [0, C].
+        below = math.nextafter(dt, 0.0)
+        scenario = scenario_from_dict(dict(doc, dt=below, horizon=3 * below))
+        a, b = (simulate_model(scenario._replace(formulation=f), exact=True)[0] for f in Formulation)
+        assert a.queue == b.queue and len(a) == 3
+        assert all(0.0 <= q <= capacity for q in a.queue)
 
     def test_unsafe_skips_bound(self):
         doc = dict(BASE, model="pqm3", dt=0.2, horizon=1.0, unsafe=True)
