@@ -36,7 +36,7 @@ relaxation terms at the stationary state, which sits at capacity/2 with
 flux capacity/(2*eps).
 
 At a finite step dt the exact discrete models are the relaxed ones with
-eps = dt, so they stop where ``stationary_eps(variant, delta, sigma,
+eps = dt, so they stop where ``stationary_eps(model, delta, sigma,
 capacity, dt)`` says.  With balanced rates that is an interval, not all of
 [0, capacity]: with r = delta*dt, PQM1 fixes [0, capacity], PQM2
 [r, capacity - r], PQM3 [0, capacity - r] and PQM4 [r, capacity], and one
@@ -47,10 +47,11 @@ the exact step makes other states alternate around it.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 from .errors import ValidationError
-from .point_queue import PqModel, PqVariant
+from .point_queue import PqModel, _violated_bound
 from .profiles import Constant, Profile
 
 __all__ = [
@@ -136,24 +137,21 @@ def vickrey_closed_form(
     )
 
 
-_NO_CONTINUOUS_FULL = (PqModel.PQM2, PqModel.PQM3)  # delta > sigma > 0
-_NO_CONTINUOUS_EMPTY = (PqModel.PQM2, PqModel.PQM4)  # 0 < delta < sigma
-
-
 def stationary_exact(
     delta: float,
     sigma: float,
     capacity: float,
-    variant: PqVariant | PqModel | None = None,
+    model: PqModel | None = None,
 ) -> StationaryResult:
-    """Stationary state of the exact models under constant rates.
+    """Stationary state of the exact models under constant rates: the eps = 0 case of ``stationary_eps``.
 
     The value is the continuous-time (dt -> 0) state and is the same for all
-    four variants; pass ``variant`` to learn whether it exists as a
+    four variants; pass ``model`` to learn whether it exists as a
     continuous fixed point or only as the limit of the discrete ones
-    (``limit_of_discrete``).  At balanced rates the result is the interval
-    [0, capacity]; at a step dt the exact discrete models stop on the
-    narrower interval that ``stationary_eps`` gives for eps = dt.
+    (``limit_of_discrete``).  Without one, no flag is set (PQM1 sets none).
+    At balanced rates the result is the interval [0, capacity]; at a step dt
+    the exact discrete models stop on the narrower interval that
+    ``stationary_eps`` gives for eps = dt.
 
     ``limit_of_discrete`` is only ever set on the point results.  It is not
     settled whether it should also describe the endpoints of the balanced
@@ -161,54 +159,43 @@ def stationary_exact(
     and PQM4's 0 are not continuous fixed points either (they are the
     limits of the discrete interval's edges), yet the flag stays False there.
     """
-    if capacity is None or capacity <= 0:
+    return _stationary(PqModel.PQM1 if model is None else model, delta, sigma, capacity, 0)
+
+
+def stationary_eps(model: PqModel, delta: float, sigma: float, capacity: float, eps: float) -> StationaryResult:
+    """Stationary state of a relaxed variant under constant rates.
+
+    eps-PQM1 and eps-PQM2 admit any eps; eps-PQM3 needs eps * sigma <=
+    capacity and eps-PQM4 eps * delta <= capacity, decided exactly, as the
+    discrete models' dt bounds are.
+    """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"epsilon must be positive and finite (got {eps})")
+    return _stationary(model, delta, sigma, capacity, eps)
+
+
+def _stationary(model: PqModel, delta, sigma, capacity, eps) -> StationaryResult:
+    """The stationary state of ``model`` relaxed by eps > 0, or of the exact model at eps = 0."""
+    if capacity is None or not 0 < capacity < math.inf:
         raise ValueError("stationary analysis requires a finite positive capacity")
     if delta < 0 or sigma < 0:
         raise ValueError("rates must be nonnegative")
-    model = variant.model if isinstance(variant, PqVariant) else variant
-    flux = min(delta, sigma)
-    if delta > sigma:
-        limit = model in _NO_CONTINUOUS_FULL and sigma > 0
-        return StationaryResult(capacity, capacity, flux, limit_of_discrete=limit)
-    if delta < sigma:
-        limit = model in _NO_CONTINUOUS_EMPTY and delta > 0
-        return StationaryResult(0.0, 0.0, flux, limit_of_discrete=limit)
-    return StationaryResult(0.0, capacity, flux)
-
-
-def stationary_eps(
-    variant: PqVariant | PqModel,
-    delta: float,
-    sigma: float,
-    capacity: float,
-    eps: float,
-) -> StationaryResult:
-    """Stationary state of a relaxed variant under constant rates."""
-    if capacity is None or capacity <= 0:
-        raise ValueError("stationary analysis requires a finite positive capacity")
-    if delta < 0 or sigma < 0:
-        raise ValueError("rates must be nonnegative")
-    if eps <= 0:
-        raise ValueError(f"epsilon must be positive (got {eps})")
-    bound = capacity / max(delta, sigma) if max(delta, sigma) > 0 else None
-    if bound is not None and eps > bound:
-        raise ValidationError(
-            f"epsilon must satisfy eps <= capacity/max(delta, sigma) = {bound:.4g} hr (got {eps:g})"
-        )
-    model = variant.model if isinstance(variant, PqVariant) else variant
+    violated = _violated_bound(model, eps, delta, sigma, capacity) if eps else None
+    if violated is not None:
+        raise ValidationError(f"epsilon must satisfy eps <= {violated[0]} = {violated[1]:.4g} hr (got {eps:g})")
     flux = min(delta, sigma)
     if model is PqModel.PQM2 and eps * flux > capacity / 2:
         # Relaxed inflow (capacity - lam)/eps meets relaxed outflow lam/eps
         # before either rate binds: the queue halves the storage.
         return StationaryResult(capacity / 2, capacity / 2, capacity / (2 * eps))
-    ceiling = capacity - eps * sigma  # relaxed full level
-    floor = eps * delta  # relaxed empty level
+    # A variant whose demand lacks the feed settles eps*delta above empty, one
+    # whose supply lacks the service eps*sigma below full; at eps = 0 those
+    # levels are limits of the discrete fixed points (for a positive rate).
+    exact = eps == 0
+    lo = 0.0 if exact or model.demand_includes_feed else eps * delta
+    hi = capacity if exact or model.supply_includes_service else capacity - eps * sigma
     if delta > sigma:
-        lam = capacity if model.supply_includes_service else ceiling
-        return StationaryResult(lam, lam, flux)
+        return StationaryResult(hi, hi, flux, exact and not model.supply_includes_service and sigma > 0)
     if delta < sigma:
-        lam = 0.0 if model.demand_includes_feed else floor
-        return StationaryResult(lam, lam, flux)
-    lo = 0.0 if model.demand_includes_feed else floor
-    hi = capacity if model.supply_includes_service else ceiling
+        return StationaryResult(lo, lo, flux, exact and not model.demand_includes_feed and delta > 0)
     return StationaryResult(lo, hi, flux)

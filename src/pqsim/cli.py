@@ -8,7 +8,6 @@ validation errors, 1 on unexpected runtime errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import math
 import sys
@@ -26,7 +25,7 @@ from .scenario import (
     load_scenario,
     run_scenario,
 )
-from .trajectory import Trajectory
+from .trajectory import Trajectory, _write_table
 
 
 def _model_list(arg: str) -> list[str]:
@@ -48,10 +47,10 @@ def _float_list(arg: str) -> list[float]:
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
     return scenario.with_overrides(
-        dt=getattr(args, "dt", None),
-        epsilon=getattr(args, "eps", None),
-        horizon=getattr(args, "horizon", None),
-        unsafe=True if getattr(args, "unsafe", False) else None,
+        dt=args.dt,
+        epsilon=args.eps,
+        horizon=args.horizon,
+        unsafe=True if args.unsafe else None,
     )
 
 
@@ -75,12 +74,8 @@ def _cmd_compare(args) -> int:
     report = run_scenario(scenario, out_dir=args.out_dir, models=_model_list(args.models))
     _print_report(report)
     if args.out_dir:
-        path = Path(args.out_dir) / "comparison.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model_a", "model_b", "sup_distance"])
-            for (a, b), d in report.distances.items():
-                writer.writerow([a, b, repr(d)])
+        rows = [(a, b, d) for (a, b), d in report.distances.items()]
+        path = _write_table(Path(args.out_dir) / "comparison.csv", ("model_a", "model_b", "sup_distance"), rows)
         print(f"wrote comparison: {path}")
     return 0
 
@@ -92,13 +87,8 @@ def _cmd_convergence(args) -> int:
     for row in rows:
         print(f"{row['dt']:>12g}  {row['max_distance']:>26.9g}")
     if args.out_dir:
-        path = Path(args.out_dir) / "convergence.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dt", "max_distance"])
-            for row in rows:
-                writer.writerow([repr(row["dt"]), repr(row["max_distance"])])
+        cells = [(row["dt"], row["max_distance"]) for row in rows]
+        path = _write_table(Path(args.out_dir) / "convergence.csv", ("dt", "max_distance"), cells)
         print(f"wrote convergence: {path}")
     return 0
 
@@ -178,9 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_arg=True):
-        if scenario_arg:
-            p.add_argument("scenario", help="path to a JSON scenario file")
+    def add_common(p):
+        p.add_argument("scenario", help="path to a JSON scenario file")
         p.add_argument("--dt", type=float, help="override the scenario step size [hr]")
         p.add_argument("--eps", type=float, help="override the relaxation time [hr]")
         p.add_argument("--horizon", type=float, help="override the horizon [hr]")

@@ -181,25 +181,48 @@ def step_pq(
     return _advance_state(variant, state, _step_with_volumes, delta * dt, sigma * dt, capacity, clamp)
 
 
-def well_definedness_bound(
-    variant: PqVariant | PqModel,
-    delta_max: float,
-    sigma_max: float,
-    capacity: float | None,
-) -> float:
+def _limiting_rate(model: PqModel, delta_max, sigma_max):
+    """(name, rate) of the rate that bounds one step of ``model``; None when any step is admissible.
+
+    A full PQM3 queue takes in nothing yet can discharge the whole service
+    volume; an empty PQM4 queue discharges nothing yet can admit the whole
+    feed volume.  PQM1 and PQM2 map [0, capacity] into itself at any step.
+    """
+    if model is PqModel.PQM3:
+        return "sigma_max", sigma_max
+    if model is PqModel.PQM4:
+        return "delta_max", delta_max
+    return None
+
+
+def well_definedness_bound(model: PqModel, delta_max: float, sigma_max: float, capacity: float | None) -> float:
     """Largest dt for which one step maps [0, capacity] into itself.
 
-    PQM1 and PQM2 admit any step size; PQM3 is limited by the service rate
-    (capacity / sigma_max), PQM4 by the feed rate (capacity / delta_max).
-    Unbounded storage admits any step size in all variants.
+    That is capacity over the model's limiting rate (:func:`_limiting_rate`),
+    and infinite for PQM1, PQM2, unbounded storage or a zero limiting rate.
     """
-    model = variant.model if isinstance(variant, PqVariant) else variant
     if delta_max < 0 or sigma_max < 0:
         raise ValueError("rate bounds must be nonnegative")
-    if capacity is None:
+    limit = _limiting_rate(model, delta_max, sigma_max)
+    if capacity is None or limit is None or limit[1] == 0:
         return math.inf
-    if model is PqModel.PQM3:
-        return math.inf if sigma_max == 0 else capacity / sigma_max
-    if model is PqModel.PQM4:
-        return math.inf if delta_max == 0 else capacity / delta_max
-    return math.inf
+    return capacity / limit[1]
+
+
+def _violated_bound(model: PqModel, value, delta_max, sigma_max, capacity):
+    """None when a step of size ``value`` (dt, or eps for a relaxed model) is admissible, else (limiter, bound).
+
+    ``limiter`` names the bound, such as "capacity/sigma_max".  ``value *
+    rate <= capacity`` is decided exactly on the numbers' integer ratios, as
+    the float quotient capacity/rate can lie half an ulp past the true
+    bound.  An infinite rate (bound 0) admits no step.
+    """
+    limit = _limiting_rate(model, delta_max, sigma_max)
+    if capacity is None or limit is None:
+        return None
+    name, rate = limit
+    if rate < math.inf:
+        (v, v_den), (r, r_den), (c, c_den) = (x.as_integer_ratio() for x in (value, rate, capacity))
+        if v * r * c_den <= c * v_den * r_den:
+            return None
+    return f"capacity/{name}", capacity / rate

@@ -190,23 +190,19 @@ class SineFloor(namedtuple("SineFloor", "amplitude floor"), Profile):
         _check_time(t)
         periods = math.floor(t / 2.0)
         u = t - 2.0 * periods
-        return periods * self._period_volume() + self._partial(u)
-
-    def _period_volume(self) -> float:
+        amplitude, floor = self
         tc = self.crossing_time
-        return self.floor * (1.0 + 2.0 * tc) + 2.0 * self.amplitude * math.cos(math.pi * tc) / math.pi
-
-    def _partial(self, u: float) -> float:
+        c0 = math.cos(math.pi * tc)
+        period_volume = floor * (1.0 + 2.0 * tc) + 2.0 * amplitude * c0 / math.pi
         # Integral over [0, u] for u in [0, 2): floor on [0, tc] and
         # [1 - tc, 2], sinusoid in between.
-        tc = self.crossing_time
         if u <= tc:
-            return self.floor * u
-        head = self.floor * tc
-        c0 = math.cos(math.pi * tc)
-        if u <= 1.0 - tc:
-            return head + self.amplitude * (c0 - math.cos(math.pi * u)) / math.pi
-        return head + 2.0 * self.amplitude * c0 / math.pi + self.floor * (u - (1.0 - tc))
+            part = floor * u
+        elif u <= 1.0 - tc:
+            part = floor * tc + amplitude * (c0 - math.cos(math.pi * u)) / math.pi
+        else:
+            part = floor * tc + 2.0 * amplitude * c0 / math.pi + floor * (u - (1.0 - tc))
+        return periods * period_volume + part
 
     @property
     def max_rate(self) -> float:

@@ -51,7 +51,7 @@ from .errors import ScenarioError, ValidationError
 from .link_models import LqmSimulation, LtmSimulation
 from .links import LinkParams, QueueSpec
 from .network import TandemQueue, TandemSpec, TandemState, step_tandem
-from .point_queue import Formulation, PqModel, well_definedness_bound
+from .point_queue import Formulation, PqModel, _violated_bound
 from .profiles import profile_from_dict
 from .trajectory import Trajectory, sup_distance
 
@@ -126,11 +126,12 @@ def _link_params(doc: dict, source: str) -> LinkParams:
 
 
 def _pq_model(name: str, source: str) -> PqModel:
-    key = name.lower().removeprefix("eps-")
+    """A tandem member's model, one of the exact point queues."""
     try:
-        return PqModel(key)
+        return PqModel(name.lower())
     except ValueError:
-        raise ScenarioError(f"{source}: unknown point-queue model {name!r}") from None
+        valid = ", ".join(m.value for m in PqModel)
+        raise ScenarioError(f"{source}: unknown point-queue model {name!r}; valid: {valid}") from None
 
 
 def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
@@ -168,7 +169,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
             if not isinstance(entry, dict):
                 raise ScenarioError(f"{where}: must be an object")
             spec = _queue_spec(entry, where)
-            member_model = _pq_model(entry.get("model", "pqm1"), where)
+            member_model = _pq_model(_field(entry, "model", str, where, required=False, default="pqm1"), where)
             queues.append(TandemQueue(spec=spec, model=member_model))
         if not queues:
             raise ScenarioError(f"{source}: 'queues' must list at least one queue")
@@ -256,37 +257,26 @@ _NEEDS = {
 def _check_queue_bound(
     scenario: Scenario, who: str, var: str, value: float, model: PqModel, capacity: float | None
 ) -> None:
-    """Raise unless ``value`` (dt, or eps for a relaxed model) is within a point queue's bound.
-
-    A finite bound is capacity/rate; ``value * rate <= capacity`` is decided exactly on the
-    floats' integer ratios, as the float quotient can lie half an ulp past the true bound.
-    """
-    bound = well_definedness_bound(model, scenario.demand.max_rate, scenario.supply.max_rate, capacity)
-    if bound == math.inf:
+    """Raise unless ``value`` (dt, or eps for a relaxed model) is within a point queue's bound."""
+    violated = _violated_bound(model, value, scenario.demand.max_rate, scenario.supply.max_rate, capacity)
+    if violated is None:
         return
-    rate = scenario.supply.max_rate if model is PqModel.PQM3 else scenario.demand.max_rate
-    if rate < math.inf:  # an infinite rate (bound 0) admits no step
-        (v, v_den), (r, r_den), (c, c_den) = (x.as_integer_ratio() for x in (value, rate, capacity))
-        if v * r * c_den <= c * v_den * r_den:
-            return
-    limiter = "capacity/sigma_max" if model is PqModel.PQM3 else "capacity/delta_max"
+    limiter, bound = violated
     raise ValidationError(
         f"{scenario.source}: {who} requires {var} <= {limiter} = {bound:.4g} hr (got {var} = {value:g})"
     )
 
 
-def _check_point(scenario: Scenario, name: str) -> None:
-    model = _pq_model(name, scenario.source)
+def _check_point(scenario: Scenario, name: str, model: PqModel) -> None:
     _check_queue_bound(scenario, f"{model.label}-D", "dt", scenario.dt, model, scenario.queue.capacity)
 
 
-def _check_eps(scenario: Scenario, name: str) -> None:
+def _check_eps(scenario: Scenario, name: str, model: PqModel) -> None:
     eps = scenario.epsilon
     if scenario.dt > eps:
         raise ValidationError(
             f"{scenario.source}: relaxed models require dt <= epsilon = {eps:g} hr (got dt = {scenario.dt:g})"
         )
-    model = _pq_model(name, scenario.source)
     _check_queue_bound(scenario, f"eps-{model.label}", "epsilon", eps, model, scenario.queue.capacity)
 
 
@@ -318,12 +308,9 @@ def _step_rates(scenario: Scenario, n: int, conv=None):
     return zip(deltas, sigmas)
 
 
-def _run_point(
-    scenario: Scenario, name: str, exact: bool, relaxed: bool = False, model: PqModel | None = None
-) -> list[Trajectory]:
+def _run_point(scenario: Scenario, name: str, exact: bool, model: PqModel, relaxed: bool = False) -> list[Trajectory]:
     """The point-queue loop: the state (lam, F, G) lives in locals, one junction-rule call per step."""
     queue = scenario.queue
-    model = model or _pq_model(name, scenario.source)
     dt = scenario.dt
     n = round(scenario.horizon / dt)
     clamp = not scenario.unsafe
@@ -453,9 +440,15 @@ class ModelSpec(namedtuple("ModelSpec", "needs check run notes exact", defaults=
 
 
 MODELS: dict[str, ModelSpec] = {
-    **{m.value: ModelSpec(("queue",), _check_point, _run_point, exact=True) for m in PqModel},
+    # Each point row binds its PqModel once, so its check and runner never parse the name.
     **{
-        f"eps-{m.value}": ModelSpec(("queue", "epsilon"), _check_eps, partial(_run_point, relaxed=True))
+        m.value: ModelSpec(("queue",), partial(_check_point, model=m), partial(_run_point, model=m), exact=True)
+        for m in PqModel
+    },
+    **{
+        f"eps-{m.value}": ModelSpec(
+            ("queue", "epsilon"), partial(_check_eps, model=m), partial(_run_point, model=m, relaxed=True)
+        )
         for m in PqModel
     },
     **{name: ModelSpec(("link",), _check_link, _run_link) for name in ("ltm", "lqm")},

@@ -14,12 +14,12 @@ from __future__ import annotations
 import csv
 import operator
 from collections import namedtuple
+from itertools import starmap
 from pathlib import Path
 
 __all__ = ["Trajectory", "TrajectoryStats", "sup_distance", "CSV_COLUMNS"]
 
 CSV_COLUMNS = ("t", "lambda", "F", "G", "f", "g")
-_CSV_ROW = ",".join(["{!r}"] * len(CSV_COLUMNS)) + "\r\n"
 
 # Queue levels at or below this count as "gone" when timing events.
 VANISH_EPS = 1e-9
@@ -101,15 +101,8 @@ class Trajectory:
         )
 
     def write_csv(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            # What csv.writer writes for these columns: each number as its
-            # repr, comma-separated, rows ended by \r\n.
-            fh.write(",".join(CSV_COLUMNS) + "\r\n")
-            columns = (self.times, self.queue, self.arrivals, self.departures, self.inflow_rate, self.outflow_rate)
-            fh.writelines(map(_CSV_ROW.format, *columns))
-        return path
+        columns = (self.times, self.queue, self.arrivals, self.departures, self.inflow_rate, self.outflow_rate)
+        return _write_table(path, CSV_COLUMNS, zip(*columns))
 
     @classmethod
     def from_csv(cls, path: str | Path, label: str | None = None) -> "Trajectory":
@@ -126,6 +119,22 @@ class Trajectory:
         times = cols[0]
         dt = times[1] - times[0] if len(times) > 1 else 0.0
         return cls(label or path.stem, dt, *cols)
+
+
+def _write_table(path: str | Path, header, rows) -> Path:
+    """Write a CSV file, making its directory: the header, then rows of comma-separated cells, each ended by CR LF.
+
+    A cell is written as its ``str``, which for a float is its ``repr``.
+    This is what ``csv.writer`` writes for cells that hold no comma, quote
+    or line break; the package's cells are numbers and model labels.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    row = ",".join(["{}"] * len(header)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(starmap(row.format, rows))
+    return path
 
 
 def sup_distance(a: Trajectory, b: Trajectory) -> float:

@@ -222,17 +222,23 @@ class TestStationaryRelaxed:
     @pytest.mark.parametrize(
         "delta, sigma, eps",
         [(2000, 1200, 0.02), (1000, 1200, 0.02), (1200, 1200, 0.02), (1500, 1000, 0.12), (1000, 1500, 0.12),
-         (1200, 1200, 0.1)],
+         (1200, 1200, 0.1), (2000, 1200, 0.15), (1200, 2000, 0.15), (2500, 2500, 0.1)],
     )
     def test_matches_long_relaxed_runs(self, delta, sigma, eps):
         """A 3-hour step_eps run from empty and from full ends on the reported state and flux.
 
-        The last three cases have eps * min(delta, sigma) > capacity/2, where
-        eps-PQM2 settles at capacity/2 with flux capacity/(2 eps).
+        From (1500, 1000, 0.12) on, eps * min(delta, sigma) > capacity/2, where
+        eps-PQM2 settles at capacity/2 with flux capacity/(2 eps).  The last
+        three have eps > capacity/max(delta, sigma): eps-PQM1 and eps-PQM2
+        run as usual, and eps-PQM3 (eps-PQM4) whenever eps * sigma (eps *
+        delta) <= capacity; the others are skipped.
         """
         cap, dt = 200.0, eps / 10
         cfg = EpsilonConfig(eps, dt)
+        limiting_rate = {PqModel.PQM3: sigma, PqModel.PQM4: delta}
         for model in ALL_MODELS:
+            if eps * limiting_rate.get(model, 0) > cap:
+                continue
             result = stationary_eps(model, delta, sigma, cap, eps)
             for start in (0.0, cap):
                 state = PqState.initial(start)
@@ -242,8 +248,30 @@ class TestStationaryRelaxed:
                 assert (state.departures - prev.departures) / dt == pytest.approx(result.flux), (model, start)
 
     def test_relaxation_bound_enforced(self):
-        with pytest.raises(ValidationError, match="capacity/max"):
-            stationary_eps(PqModel.PQM2, 2000, 1200, 200.0, 0.2)
+        """eps-PQM3 is bounded by capacity/sigma alone, eps-PQM4 by capacity/delta alone."""
+        with pytest.raises(ValidationError, match=r"capacity/sigma_max = 0\.1667 hr \(got 0\.2\)"):
+            stationary_eps(PqModel.PQM3, 1000, 1200, 200.0, 0.2)
+        with pytest.raises(ValidationError, match=r"capacity/delta_max = 0\.1667 hr \(got 0\.2\)"):
+            stationary_eps(PqModel.PQM4, 1200, 1000, 200.0, 0.2)
+        # At eps * limiting rate = capacity exactly (0.25 is a double), whatever the other rate:
+        # the relaxed full level capacity - eps*sigma is 0, the empty level eps*delta is capacity.
+        assert stationary_eps(PqModel.PQM3, 5000, 800, 200.0, 0.25).queue == 0.0
+        assert stationary_eps(PqModel.PQM4, 800, 5000, 200.0, 0.25).queue == 200.0
+
+    @pytest.mark.parametrize("capacity, eps", [(200.0, math.inf), (200.0, math.nan), (math.inf, 0.1), (math.nan, 0.1)])
+    def test_non_finite_eps_or_capacity_rejected(self, capacity, eps):
+        """The exact bound test needs finite numbers; a NaN never yields a state."""
+        for model in ALL_MODELS:
+            with pytest.raises(ValueError, match="epsilon must be positive and finite|finite positive capacity"):
+                stationary_eps(model, 2000, 1200, capacity, eps)
+
+    def test_pqm1_and_pqm2_admit_any_eps(self):
+        """Far past capacity/max(delta, sigma) = 0.1 hr, eps-PQM1 and eps-PQM2 still have stationary states."""
+        for eps in (0.2, 10.0):
+            assert stationary_eps(PqModel.PQM1, 2000, 1200, 200.0, eps).queue == 200.0
+            assert stationary_eps(PqModel.PQM1, 1000, 1200, 200.0, eps).queue == 0.0
+            r = stationary_eps(PqModel.PQM2, 2000, 1200, 200.0, eps)
+            assert (r.queue, r.flux) == (100.0, 100.0 / eps)
 
     def test_linear_convergence_to_exact(self):
         """The eps-shifted levels approach the exact ones linearly in eps."""

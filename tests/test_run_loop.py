@@ -6,10 +6,12 @@ rule once per step.  The oracle here rebuilds every recorded cell with one
 The properties run on random scenarios within each model's dt and eps
 bounds: formulations A and B coincide under ``Fraction`` arithmetic, with
 the clamp off the queue stays in [0, capacity], and lambda = F - G holds
-(exactly in B and under ``Fraction``, to a round-off bound in A).
+(exactly in B and under ``Fraction``, to a round-off bound in A).  One
+step of every junction rule is monotone in the feed within those bounds.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -229,3 +231,49 @@ def test_conservation_is_exact_under_fractions(name, data):
     scenario = data.draw(point_scenarios(name))
     states, _ = _replay(scenario, name, exact=True)
     assert all(state.queue == state.arrivals - state.departures for state in states)
+
+
+def _share(data, whole: Fraction) -> Fraction:
+    """A draw from [0, whole] in steps of whole/64, both ends included."""
+    return whole * Fraction(data.draw(st.integers(0, 64)), 64)
+
+
+@pytest.mark.parametrize("relaxed", [False, True], ids=["exact", "relaxed"])
+@pytest.mark.parametrize("model", list(PqModel), ids=lambda m: m.value)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_step_is_monotone_in_the_feed(model, relaxed, data):
+    """Within the bounds, more feed never lowers the next queue, the inflow or the outflow of one step.
+
+    Proof.  inflow = min(feed, S) and outflow = min(D, service), where the
+    supply S does not depend on the feed and the demand D = feed + lam*r
+    (PQM1, PQM3) or lam*r (PQM2, PQM4), r = dt/eps (1 in the exact rule):
+    both are nondecreasing.  lam' = lam + inflow - outflow can fall only
+    where the inflow is capped (feed > S) while the outflow still grows
+    (D < service), which needs D in the demand.  In PQM1 S = service +
+    (C - lam)*r, so feed > S gives D > service.  In PQM3 S = (C - lam)*r,
+    so feed > S gives D > C*r, which is >= service exactly when the bound
+    (sigma*dt <= C, or eps*sigma <= C) holds.  Fraction arithmetic, clamp off.
+    """
+    cap = Fraction(data.draw(st.integers(1, 400)))
+    ratio = Fraction(data.draw(st.integers(1, 64)), 64) if relaxed else 1
+    room = cap * ratio  # the largest service (PQM3) or feed (PQM4) volume inside the bound
+    service = _share(data, room if model is PqModel.PQM3 else 2 * cap)
+    feeds = [_share(data, room if model is PqModel.PQM4 else 2 * cap) for _ in range(2)]
+    lam = _share(data, cap)
+    step = partial(approx._step_with_volumes, ratio) if relaxed else point_queue._step_with_volumes
+    low, high = (step(model, lam, feed, service, cap, False) for feed in sorted(feeds))
+    assert all(a <= b for a, b in zip(low, high)), (low, high)
+
+
+def test_pqm3_is_not_monotone_in_the_feed_past_its_bound():
+    """Past the bound, a larger feed lowers PQM3's next queue: the demand grows the outflow but the inflow is capped."""
+    cap, lam = Fraction(10), Fraction(4)
+    # Exact rule, service volume 12 > capacity.
+    exact = [point_queue._step_with_volumes(PqModel.PQM3, lam, Fraction(feed), Fraction(12), cap, False)[0]
+             for feed in (6, 8)]
+    assert exact == [0, -2]
+    # Relaxed rule, dt/eps = 1/2 and service volume 8 (eps * sigma = 16 > capacity): both states stay in [0, C].
+    relaxed = [approx._step_with_volumes(Fraction(1, 2), PqModel.PQM3, lam, Fraction(feed), Fraction(8), cap, False)[0]
+               for feed in (3, 5)]
+    assert relaxed == [2, 0]

@@ -1,5 +1,6 @@
 """Tests for scenario parsing, validation, runners, CSV output and the CLI."""
 
+import csv
 import json
 import math
 
@@ -504,3 +505,68 @@ def test_exact_arithmetic_rejected_for_models_that_run_in_floats(path, model):
         simulate_model(scenario, model, exact=True)
     with pytest.raises(ValidationError, match=message):
         run_scenario(scenario, models=[model], exact=True)
+
+
+@pytest.mark.parametrize(
+    "model, problem",
+    [("eps-pqm2", "unknown point-queue model 'eps-pqm2'; valid: pqm1, pqm2, pqm3, pqm4"),
+     (5, "field 'model' must be a str (got 5)")],
+)
+def test_tandem_members_must_be_exact_point_queues(tmp_path, capsys, model, problem):
+    """A relaxed member would run as its exact model; a non-string one is rejected, not an internal error."""
+    doc = dict(BASE, model="tandem", dt=0.001, queues=[dict(QUEUES[0], model=model), QUEUES[1]])
+    assert main(["simulate", str(make(tmp_path / "s.json", doc))]) == 2
+    assert f"queues[0]: {problem}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "model, eps, code, text",
+    [
+        ("eps-pqm1", "0.1", 0, "eps-PQM1 stationary: lambda=10 veh, flux=1000 vph"),
+        ("eps-pqm2", "0.1", 0, "eps-PQM2 stationary: lambda=5 veh, flux=50 vph"),
+        ("eps-pqm3", "0.008", 0, "eps-PQM3 stationary: lambda=2 veh, flux=1000 vph"),
+        ("eps-pqm3", "0.012", 2, "eps <= capacity/sigma_max = 0.01 hr (got 0.012)"),
+        ("eps-pqm4", "0.004", 0, "eps-PQM4 stationary: lambda=10 veh, flux=1000 vph"),
+        ("eps-pqm4", "0.006", 2, "eps <= capacity/delta_max = 0.005 hr (got 0.006)"),
+    ],
+)
+def test_stationary_eps_bound_is_each_models_own(capsys, model, eps, code, text):
+    """capacity/max(delta, sigma) = 0.005 hr bounds no model: eps-PQM1/2 admit any eps, eps-PQM3/4 one rate each."""
+    argv = ["stationary", "--delta", "2000", "--sigma", "1000", "--capacity", "10", "--model", model, "--eps", eps]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert text in (captured.out if code == 0 else captured.err)
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    """The reference: what ``csv.writer`` writes, numbers given as their repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("models", ["pqm1,eps-pqm1,vickrey", "pqm2"])
+def test_comparison_and_convergence_csv_bytes(tmp_path, capsys, models):
+    """Model labels as text, numbers as their repr, comma-separated, CR LF line ends; one model gives the header only."""
+    names = models.split(",")
+    scenario = load_scenario(RELAXED).with_overrides(horizon=0.5)
+    out = tmp_path / "out"
+    common = [RELAXED, "--horizon", "0.5", "--models", models, "--out-dir", str(out)]
+    assert main(["compare", *common]) == 0
+    assert main(["convergence", *common, "--dt-list", "0.001,0.0005"]) == 0
+    distances = run_scenario(scenario, models=names).distances
+    assert len(distances) == len(names) * (len(names) - 1) // 2
+    want = _csv_writer_bytes(
+        tmp_path / "comparison.csv", ["model_a", "model_b", "sup_distance"],
+        [[a, b, repr(d)] for (a, b), d in distances.items()],
+    )
+    assert (out / "comparison.csv").read_bytes() == want
+    rows = convergence_table(scenario, names, [0.001, 0.0005])
+    want = _csv_writer_bytes(
+        tmp_path / "convergence.csv", ["dt", "max_distance"],
+        [[repr(row["dt"]), repr(row["max_distance"])] for row in rows],
+    )
+    assert (out / "convergence.csv").read_bytes() == want
+    assert want.startswith(b"dt,max_distance\r\n0.001,")
