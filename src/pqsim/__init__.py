@@ -25,7 +25,7 @@ from .approx import EpsilonConfig, step_eps
 from .errors import PqsimError, ScenarioError, ValidationError
 from .link_models import LqmSimulation, LtmSimulation
 from .links import LinkParams, QueueSpec
-from .network import TandemQueue, TandemSpec, TandemState, step_tandem
+from .network import TandemQueue, TandemSpec, step_tandem
 from .point_queue import (
     Formulation,
     PqModel,
@@ -76,7 +76,6 @@ __all__ = [
     "StationaryResult",
     "TandemQueue",
     "TandemSpec",
-    "TandemState",
     "Trajectory",
     "TrajectoryStats",
     "ValidationError",

@@ -180,9 +180,9 @@ def _stationary(model: PqModel, delta, sigma, capacity, eps) -> StationaryResult
         raise ValueError("stationary analysis requires a finite positive capacity")
     if delta < 0 or sigma < 0:
         raise ValueError("rates must be nonnegative")
-    violated = _violated_bound(model, eps, delta, sigma, capacity) if eps else None
+    violated = _violated_bound(model, eps, (delta, ()), (sigma, ()), capacity, "eps") if eps else None
     if violated is not None:
-        raise ValidationError(f"epsilon must satisfy eps <= {violated[0]} = {violated[1]:.4g} hr (got {eps:g})")
+        raise ValidationError(f"epsilon must satisfy {violated} (got {eps:g})")
     flux = min(delta, sigma)
     if model is PqModel.PQM2 and eps * flux > capacity / 2:
         # Relaxed inflow (capacity - lam)/eps meets relaxed outflow lam/eps

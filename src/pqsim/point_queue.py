@@ -107,34 +107,29 @@ def _step_with_volumes(model: PqModel, lam, feed, service, capacity, clamp: bool
     """The junction rule for one step; returns (lam_next, inflow, outflow) as volumes.
 
     ``feed`` and ``service`` are the volumes offered from upstream and
-    accepted downstream during the step (service None = unlimited).  The
-    drained term resolves lam - outflow algebraically so that a queue
-    hitting a floor or ceiling lands on the exact value (0, feed,
-    capacity - service, ...) instead of accumulating round-off.  The demand
-    and supply volumes are those of the module docstring's table; the supply
-    is None when unlimited (``capacity`` None, or ``service`` None in
-    PQM1/PQM4).  The scenario loop calls it once per step and keeps the
-    state (and formulation B's lam = F - G) in its own locals.
+    accepted downstream during the step.  The drained term resolves lam -
+    outflow algebraically so that a queue hitting a floor or ceiling lands
+    on the exact value (0, feed, capacity - service, ...) instead of
+    accumulating round-off.  The demand and supply volumes are those of the
+    module docstring's table; unbounded storage (``capacity`` None) takes
+    in the whole feed.  The scenario loop calls it once per step and keeps
+    the state (and formulation B's lam = F - G) in its own locals.
     """
     with_feed = model.demand_includes_feed
     if capacity is None:
-        svol = None
+        inflow = feed
     else:
         svol = capacity - lam
         if model.supply_includes_service:
-            svol = None if service is None else service + svol
-    inflow = feed if svol is None else (svol if svol < feed else feed)
+            svol = service + svol
+        inflow = svol if svol < feed else feed
     dvol = feed + lam if with_feed else lam
-    if service is None:
-        outflow = dvol
-        drained = -feed if with_feed else 0
+    outflow = service if service < dvol else dvol
+    drained = lam - service
+    if with_feed:
+        drained = drained if drained > -feed else -feed
     else:
-        outflow = service if service < dvol else dvol
-        drained = lam - service
-        if with_feed:
-            drained = drained if drained > -feed else -feed
-        else:
-            drained = drained if drained > 0 else 0
+        drained = drained if drained > 0 else 0
     lam_next = inflow + drained
     if clamp:
         # Absorbs last-ulp float excursions only: within the admissible
@@ -187,6 +182,7 @@ def _limiting_rate(model: PqModel, delta_max, sigma_max):
     A full PQM3 queue takes in nothing yet can discharge the whole service
     volume; an empty PQM4 queue discharges nothing yet can admit the whole
     feed volume.  PQM1 and PQM2 map [0, capacity] into itself at any step.
+    :func:`_violated_bound` passes each side as a (rate, held) pair.
     """
     if model is PqModel.PQM3:
         return "sigma_max", sigma_max
@@ -209,20 +205,42 @@ def well_definedness_bound(model: PqModel, delta_max: float, sigma_max: float, c
     return capacity / limit[1]
 
 
-def _violated_bound(model: PqModel, value, delta_max, sigma_max, capacity):
-    """None when a step of size ``value`` (dt, or eps for a relaxed model) is admissible, else (limiter, bound).
+def _violated_bound(model: PqModel, value, feed, service, capacity, var="dt"):
+    """None when a step of size ``value`` (dt, or eps for a relaxed model) is admissible, else the broken requirement.
 
-    ``limiter`` names the bound, such as "capacity/sigma_max".  ``value *
-    rate <= capacity`` is decided exactly on the numbers' integer ratios, as
-    the float quotient capacity/rate can lie half an ulp past the true
-    bound.  An infinite rate (bound 0) admits no step.
+    ``feed`` and ``service`` are each a side's (largest rate, held): its
+    volume is value * rate plus the held capacities, those of a tandem
+    member's neighbours whose storage adds to it (inf when unbounded), none
+    for a lone queue.  A step is admissible when the limiting side's volume
+    (:func:`_limiting_rate`) is at most ``capacity``, decided exactly on
+    integer ratios, as the float quotient capacity/rate can lie half an ulp
+    past the true bound; an infinite rate admits no step.  A lone queue's
+    requirement shows its largest admissible value, with ``:.4g`` unless
+    that reads no lower than ``value``.
     """
-    limit = _limiting_rate(model, delta_max, sigma_max)
+    limit = _limiting_rate(model, feed, service)
     if capacity is None or limit is None:
         return None
-    name, rate = limit
-    if rate < math.inf:
-        (v, v_den), (r, r_den), (c, c_den) = (x.as_integer_ratio() for x in (value, rate, capacity))
-        if v * r * c_den <= c * v_den * r_den:
+    name, (rate, held) = limit
+    if rate < math.inf and math.inf not in held:
+        room, den = capacity.as_integer_ratio()  # capacity - sum(held) == room/den
+        for h in held:
+            h, h_den = h.as_integer_ratio()
+            room, den = room * h_den - h * den, den * h_den
+        r, r_den = rate.as_integer_ratio()
+
+        def fits(x) -> bool:
+            x, x_den = x.as_integer_ratio()
+            return x * r * den <= room * x_den * r_den
+
+        if fits(value):
             return None
-    return f"capacity/{name}", capacity / rate
+    if held:
+        side = "service" if name == "sigma_max" else "feed"
+        terms = " + ".join([*map(repr, held), f"{var}*{name}"] if rate else map(repr, held))
+        return f"the largest {side} volume {terms} <= capacity = {capacity!r} veh"
+    bound = capacity / rate  # 0 for an infinite rate, else correctly rounded: at most one step past the largest
+    if bound and not fits(bound):
+        bound = math.nextafter(bound, 0)
+    shown = f"{bound:.4g}"
+    return f"{var} <= capacity/{name} = {shown if float(shown) < value else repr(bound)} hr"

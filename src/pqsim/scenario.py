@@ -44,13 +44,14 @@ import math
 from collections import namedtuple
 from functools import partial
 from itertools import combinations
+from operator import add
 from pathlib import Path
 
 from . import approx, point_queue
 from .errors import ScenarioError, ValidationError
 from .link_models import LqmSimulation, LtmSimulation
 from .links import LinkParams, QueueSpec
-from .network import TandemQueue, TandemSpec, TandemState, step_tandem
+from .network import TandemQueue, TandemSpec, step_tandem
 from .point_queue import Formulation, PqModel, _violated_bound
 from .profiles import profile_from_dict
 from .trajectory import Trajectory, sup_distance
@@ -254,17 +255,12 @@ _NEEDS = {
 }
 
 
-def _check_queue_bound(
-    scenario: Scenario, who: str, var: str, value: float, model: PqModel, capacity: float | None
-) -> None:
-    """Raise unless ``value`` (dt, or eps for a relaxed model) is within a point queue's bound."""
-    violated = _violated_bound(model, value, scenario.demand.max_rate, scenario.supply.max_rate, capacity)
-    if violated is None:
-        return
-    limiter, bound = violated
-    raise ValidationError(
-        f"{scenario.source}: {who} requires {var} <= {limiter} = {bound:.4g} hr (got {var} = {value:g})"
-    )
+def _check_queue_bound(scenario: Scenario, who: str, var: str, value, model: PqModel, capacity, sides=None) -> None:
+    """Raise unless ``value`` (dt, or eps for a relaxed model) is within a queue's bound; ``sides``: a tandem's."""
+    feed, service = sides or ((scenario.demand.max_rate, ()), (scenario.supply.max_rate, ()))
+    violated = _violated_bound(model, value, feed, service, capacity, var)
+    if violated is not None:
+        raise ValidationError(f"{scenario.source}: {who} requires {violated} (got {var} = {value:g})")
 
 
 def _check_point(scenario: Scenario, name: str, model: PqModel) -> None:
@@ -289,9 +285,30 @@ def _check_link(scenario: Scenario, name: str) -> None:
 
 
 def _check_tandem(scenario: Scenario, name: str) -> None:
-    for i, member in enumerate(scenario.tandem.queues):
-        who = f"queues[{i}] ({member.model.label}-D)"
-        _check_queue_bound(scenario, who, "dt", scenario.dt, member.model, member.spec.capacity)
+    """Bound each member by its largest feed and service volumes, as (rate, held): dt*rate plus the held capacities.
+
+    The origin feeds at most delta_max*dt.  Any other member's feed is its
+    upstream neighbour's demand volume: at most that neighbour's capacity
+    (unbounded without one), plus its own largest feed if its demand
+    includes the feed (PQM1, PQM3).  Services mirror this from the
+    destination's sigma_max*dt, through supplies that include the service
+    (PQM1, PQM4).
+    """
+    queues = scenario.tandem.queues
+    feeds = _largest_volumes(queues, scenario.demand.max_rate, "demand_includes_feed")
+    services = _largest_volumes(queues[::-1], scenario.supply.max_rate, "supply_includes_service")[::-1]
+    for i, (q, sides) in enumerate(zip(queues, zip(feeds, services))):
+        who = f"queues[{i}] ({q.model.label}-D)"
+        _check_queue_bound(scenario, who, "dt", scenario.dt, q.model, q.spec.capacity, sides)
+
+
+def _largest_volumes(queues, rate, passes_on: str) -> list:
+    """Each queue's largest feed (service, on reversed ``queues``) as (rate, held), from the end's ``rate``."""
+    volumes = [(rate, ())]
+    for q in queues[:-1]:
+        rate, held = volumes[-1] if getattr(q.model, passes_on) else (0.0, ())
+        volumes.append((0.0, (math.inf,)) if q.spec.capacity is None else (rate, (q.spec.capacity, *held)))
+    return volumes
 
 
 def _step_rates(scenario: Scenario, n: int, conv=None):
@@ -377,32 +394,26 @@ def _run_link(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
 
 
 def _run_tandem(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
-    """One trajectory per queue, origin to destination; like the link models, it runs in floats only."""
+    """The tandem loop: each queue's F and G live in locals, one step call per step; it runs in floats only."""
     spec = scenario.tandem
     dt = scenario.dt
     n = round(scenario.horizon / dt)
-    state = TandemState.initial(spec)
-    m = len(spec.queues)
-    queues = [[] for _ in range(m)]
-    arrs = [[] for _ in range(m)]
-    deps = [[] for _ in range(m)]
-    fin = [[] for _ in range(m)]
-    fout = [[] for _ in range(m)]
-    columns = list(zip(queues, arrs, deps, fin, fout))
+    arrivals = [q.spec.initial for q in spec.queues]
+    departures = [c * 0 for c in arrivals]
+    columns = [([], [], [], [], []) for _ in arrivals]  # per queue: lambda, F, G, f, g
+    step = step_tandem  # looked up once per run, at run time, so a wrapper set on the module is seen
     for delta, sigma in _step_rates(scenario, n):
-        arrivals, departures = state
-        state, fluxes = step_tandem(spec, state, delta, sigma, dt)
+        fluxes = step(spec, arrivals, departures, delta * dt, sigma * dt)
         for k, (q, f, g, f_in, f_out) in enumerate(columns):
             q.append(arrivals[k] - departures[k])
             f.append(arrivals[k])
             g.append(departures[k])
             f_in.append(fluxes[k] / dt)
             f_out.append(fluxes[k + 1] / dt)
+        arrivals = list(map(add, arrivals, fluxes))
+        departures = list(map(add, departures, fluxes[1:]))
     times = [i * dt for i in range(n)]
-    return [
-        Trajectory(f"queue{k + 1}", dt, list(times), queues[k], arrs[k], deps[k], fin[k], fout[k])
-        for k in range(m)
-    ]
+    return [Trajectory(f"queue{k + 1}", dt, list(times), *column) for k, column in enumerate(columns)]
 
 
 def _tandem_notes(scenario: Scenario, trajectories: list[Trajectory]) -> dict:

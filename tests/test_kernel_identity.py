@@ -30,7 +30,6 @@ from pqsim import (
     SineFloor,
     TandemQueue,
     TandemSpec,
-    TandemState,
     Trajectory,
     step_pq,
     step_tandem,
@@ -174,10 +173,8 @@ def _ref_advance(model, lam, feed, service, capacity, clamp):
     svol = _ref_supply_volume(model, lam, service, capacity)
     inflow = feed if svol is None else min(feed, svol)
     dvol = _ref_demand_volume(model, lam, feed)
-    outflow = dvol if service is None else min(dvol, service)
-    if service is None:
-        drained = -feed if model.demand_includes_feed else 0
-    elif model.demand_includes_feed:
+    outflow = min(dvol, service)
+    if model.demand_includes_feed:
         drained = max(-feed, lam - service)
     else:
         drained = max(0, lam - service)
@@ -209,32 +206,18 @@ def _ref_eps_advance(model, lam, feed, service, capacity, ratio, clamp):
     return lam_next, inflow, outflow
 
 
-def _ref_step_tandem(spec, state, delta, sigma, dt):
+def _ref_step_tandem(spec, arrivals, departures, feed, service):
+    """Each boundary's min(upstream demand, downstream supply), None being an unlimited supply."""
     n = len(spec.queues)
-    lams = [f - g for f, g in zip(state.arrivals, state.departures)]
-    caps = [q.spec.capacity for q in spec.queues]
+    lams = [f - g for f, g in zip(arrivals, departures)]
     models = [q.model for q in spec.queues]
-    feeds = [delta * dt]
-    for i in range(n - 1):
-        feeds.append(_ref_demand_volume(models[i], lams[i], feeds[i]))
-    backs = [None] * n
-    backs[n - 1] = sigma * dt
-    for i in range(n - 2, -1, -1):
-        backs[i] = _ref_supply_volume(models[i + 1], lams[i + 1], backs[i + 1], caps[i + 1])
-    arrivals = list(state.arrivals)
-    departures = list(state.departures)
-    fluxes = []
-    incoming = None
+    demands = [feed]
     for i in range(n):
-        _, inflow, outflow = _ref_advance(models[i], lams[i], feeds[i], backs[i], caps[i], True)
-        if i == 0:
-            incoming = inflow
-            fluxes.append(incoming)
-        arrivals[i] = arrivals[i] + incoming
-        departures[i] = departures[i] + outflow
-        fluxes.append(outflow)
-        incoming = outflow
-    return (arrivals, departures), fluxes
+        demands.append(_ref_demand_volume(models[i], lams[i], demands[i]))
+    supplies = [None] * n + [service]
+    for i in range(n - 1, -1, -1):
+        supplies[i] = _ref_supply_volume(models[i], lams[i], supplies[i + 1], spec.queues[i].spec.capacity)
+    return [d if s is None else min(d, s) for d, s in zip(demands, supplies)]
 
 
 def _ref_lqm_rates(rho, params):
@@ -283,14 +266,14 @@ EXAMPLES = settings(max_examples=300, deadline=None)
 def queue_inputs(draw):
     """(lam, feed, service, capacity) with lam often on a floor or ceiling."""
     feed = draw(VOLUME)
-    service = draw(st.one_of(st.none(), VOLUME))
+    service = draw(VOLUME)
     capacity = draw(CAPACITY)
     place = draw(st.sampled_from(("any", "empty", "full", "full less service")))
     if place == "empty":
         lam = draw(st.sampled_from((0.0, -0.0, 0)))
     elif place == "full" and capacity is not None:
         lam = capacity
-    elif place == "full less service" and capacity is not None and service is not None:
+    elif place == "full less service" and capacity is not None:
         lam = capacity - service
     else:
         lam = draw(VOLUME)
@@ -307,13 +290,11 @@ def test_advance_matches_the_min_max_form(model, inputs, clamp):
 
 @pytest.mark.parametrize("model", list(PqModel))
 def test_advance_and_eps_advance_match_on_every_tie(model):
-    """Every combination of signed zeros, int and float ties, None, clamp and ratio."""
-    cases = product(SMALL, SMALL, (None, *SMALL), (None, 12.0, 12), (True, False))
+    """Every combination of signed zeros, int and float ties, unbounded storage, clamp and ratio."""
+    cases = product(SMALL, SMALL, SMALL, (None, 12.0, 12), (True, False))
     for lam, feed, service, capacity, clamp in cases:
         want = _ref_advance(model, lam, feed, service, capacity, clamp)
         _same(exact_step(model, lam, feed, service, capacity, clamp), want)
-        if service is None:
-            continue
         for ratio in (1, 1.0, 0.5):
             want = _ref_eps_advance(model, lam, feed, service, capacity, ratio, clamp)
             _same(eps_step(ratio, model, lam, feed, service, capacity, clamp), want)
@@ -328,8 +309,6 @@ def test_advance_and_eps_advance_match_on_every_tie(model):
 )
 def test_eps_advance_matches_the_min_max_form(model, inputs, ratio, clamp):
     lam, feed, service, capacity = inputs
-    if service is None:
-        service = feed  # the relaxed outflow always has a finite service volume
     got = eps_step(ratio, model, lam, feed, service, capacity, clamp)
     _same(got, _ref_eps_advance(model, lam, feed, service, capacity, ratio, clamp))
 
@@ -339,25 +318,18 @@ def test_step_pq_returns_a_pq_state():
     assert type(state) is PqState and state == (11.0, 17.0, 6.0)
 
 
-def _flat(step_result):
-    """A tandem step's (state, fluxes) as one list: F per queue, G per queue, fluxes."""
-    (arrivals, departures), fluxes = step_result
-    return [*arrivals, *departures, *fluxes]
-
-
 def test_step_tandem_matches_on_every_tie():
-    """Two queues of every model pair, from contents and rates at ties."""
+    """Two queues of every model pair, from contents and volumes at ties."""
     for first, second in product(PqModel, repeat=2):
-        for capacity, lam1, lam2, delta, sigma in product((None, 12.0, 12), SMALL, SMALL, SMALL, SMALL):
+        for capacity, lam1, lam2, feed, service in product((None, 12.0, 12), SMALL, SMALL, SMALL, SMALL):
             spec = TandemSpec((TandemQueue(QueueSpec(None), first), TandemQueue(QueueSpec(capacity), second)))
-            state = TandemState([lam1, lam2], [0, 0])
-            want = _ref_step_tandem(spec, state, delta, sigma, 1.0)
-            _same(_flat(step_tandem(spec, state, delta, sigma, 1.0)), _flat(want))
+            state = ([lam1, lam2], [0, 0])
+            _same(step_tandem(spec, *state, feed, service), _ref_step_tandem(spec, *state, feed, service))
 
 
 @st.composite
 def tandems(draw):
-    """A tandem of 1-4 queues and a state with each content in [0, capacity]."""
+    """A tandem of 1-4 queues and its (F, G) with each content in [0, capacity]."""
     members, arrivals, departures = [], [], []
     for _ in range(draw(st.integers(1, 4))):
         capacity = draw(st.one_of(st.none(), st.sampled_from((200.0, 12.0)), st.floats(1.0, 400.0)))
@@ -367,7 +339,7 @@ def tandems(draw):
         members.append(TandemQueue(QueueSpec(capacity), draw(MODEL)))
         arrivals.append(served + lam)
         departures.append(served)
-    return TandemSpec(tuple(members)), TandemState(arrivals, departures)
+    return TandemSpec(tuple(members)), arrivals, departures
 
 
 @settings(max_examples=150, deadline=None)
@@ -378,8 +350,10 @@ def tandems(draw):
     dt=st.sampled_from((0.01, 1e-4, 0.1)),
 )
 def test_step_tandem_matches_the_advance_form(tandem, delta, sigma, dt):
-    spec, state = tandem
-    _same(_flat(step_tandem(spec, state, delta, sigma, dt)), _flat(_ref_step_tandem(spec, state, delta, sigma, dt)))
+    spec, arrivals, departures = tandem
+    feed, service = delta * dt, sigma * dt
+    want = _ref_step_tandem(spec, arrivals, departures, feed, service)
+    _same(step_tandem(spec, arrivals, departures, feed, service), want)
 
 
 LINK_RATE = st.sampled_from((0.0, 2250.0, 4000.0)) | st.floats(0.0, 5000.0)

@@ -1,12 +1,12 @@
 """The record types' contract, and what importing the CLI loads.
 
-The frozen records are ``collections.namedtuple`` subclasses, except
-``TandemSpec``, which like ``Trajectory`` and ``RunReport`` is a plain
-``__slots__`` class; none is a dataclass, so ``import pqsim.cli`` loads
-neither ``dataclasses`` nor ``typing``.  One table pins, per public type:
-field names and order, defaults, equality (and hashing where the type is
-frozen), that assigning a field raises ``AttributeError``, the
-``Name(field=...)`` repr, and every constructor check.
+The frozen records are ``collections.namedtuple`` subclasses; the mutable
+``Trajectory`` and ``RunReport`` are plain ``__slots__`` classes.  None is a
+dataclass, so ``import pqsim.cli`` loads neither ``dataclasses`` nor
+``typing``.  One table pins, per public type: field names and order,
+defaults, equality (and hashing where the type is frozen), that assigning
+a field raises ``AttributeError``, the ``Name(field=...)`` repr, and every
+constructor check.
 """
 
 import inspect
@@ -32,7 +32,6 @@ from pqsim import (
     StationaryResult,
     TandemQueue,
     TandemSpec,
-    TandemState,
     Trajectory,
     TrajectoryStats,
     VickreySolution,
@@ -128,7 +127,6 @@ RECORDS = [
     _record(StationaryResult, (0.0, 1.0, 2.0, True), "queue_lo queue_hi flux limit_of_discrete", {"limit_of_discrete": False}),
     _record(VickreySolution, (0.1, (0.0,), (0.0,), (0.0,), (0.0,), None), "dt grid arrivals departures queue waiting"),
     _record(PqState, (1.0, 1.0, 0.0), "queue arrivals departures"),
-    _record(TandemState, ((1.0, 2.0), (0.0, 0.0)), "arrivals departures"),
     _record(ModelSpec, (("queue",), None, print), "needs check run notes exact", {"notes": None, "exact": False}),
     _record(
         Trajectory,
@@ -178,11 +176,10 @@ def test_record_contract(cls, args, fields, defaults, frozen, bad):
 
 
 def test_cached_values_read_as_plain_attributes():
-    """Derived values are computed once, then read from the instance dict or, for the tandem step's, a slot."""
+    """Derived values are computed once, then read from the instance dict; a tandem keeps none."""
     link = LinkParams(1.0, 1.0, 60.0, 20.0, 150.0)
     assert (link.storage, link.capacity) == (150.0, 2250.0) and "capacity" in vars(link)
     spec = TandemSpec([TandemQueue(QueueSpec(None)), TandemQueue(QUEUE, PqModel.PQM2)])
-    assert spec._with_feed == (True, False) and spec._upstream_supply == ((200.0, False), (None, True))
     assert type(spec.queues) is tuple and not hasattr(spec, "__dict__")
     profile = PiecewiseConstant([0, 1], [3, 5])
     assert profile.breakpoints == (0.0, 1.0) and type(profile.rates[0]) is float

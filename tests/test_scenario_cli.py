@@ -339,7 +339,7 @@ def test_public_names_are_pinned():
         "Constant", "EpsilonConfig", "Formulation", "LinkParams", "LqmSimulation", "LtmSimulation",
         "PiecewiseConstant", "PqModel", "PqState", "PqVariant", "PqsimError", "Profile", "QueueSpec",
         "RunReport", "Scenario", "ScenarioError", "SineFloor", "StationaryResult", "TandemQueue",
-        "TandemSpec", "TandemState", "Trajectory", "TrajectoryStats", "ValidationError", "VickreySolution",
+        "TandemSpec", "Trajectory", "TrajectoryStats", "ValidationError", "VickreySolution",
         "convergence_table", "load_scenario", "profile_from_dict", "run_scenario", "scenario_from_dict",
         "simulate_model", "sine_floor", "stationary_eps", "stationary_exact", "step_eps", "step_pq",
         "step_tandem", "sup_distance", "vickrey_closed_form", "well_definedness_bound",
@@ -570,3 +570,39 @@ def test_comparison_and_convergence_csv_bytes(tmp_path, capsys, models):
     )
     assert (out / "convergence.csv").read_bytes() == want
     assert want.startswith(b"dt,max_distance\r\n0.001,")
+
+
+@pytest.mark.parametrize(
+    "queues, text",
+    [
+        ([("pqm3", 10, 10), ("pqm1", 1000, 0)], "queues[0] (PQM3-D) requires the largest service volume 1000.0 + dt*"),
+        ([("pqm1", 1000, 500), ("pqm4", 10, 0)], "queues[1] (PQM4-D) requires the largest feed volume 1000.0 + dt*"),
+        ([("pqm3", 10, 0), ("pqm2", 20, 0)], "queues[0] (PQM3-D) requires the largest service volume 20.0 <="),
+        ([("pqm1", None, 0), ("pqm4", 10, 0)], "queues[1] (PQM4-D) requires the largest feed volume inf <="),
+    ],
+)
+def test_tandem_member_bounded_by_its_neighbours(tmp_path, capsys, queues, text):
+    """The first two ran to a content of -1 and 11 veh, exit 0, while every member was bounded by the end rates."""
+    rates = {"type": "constant", "rate": 100}
+    members = [{"model": m, "capacity": c, "initial": i} for m, c, i in queues]
+    doc = dict(BASE, model="tandem", demand=rates, supply=rates, queues=members, dt=0.01, horizon=0.05)
+    scenario = str(make(tmp_path / "s.json", doc))
+    assert main(["tandem", scenario]) == 2
+    assert text in capsys.readouterr().err
+    assert main(["tandem", scenario, "--unsafe", "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_printed_bound_is_admissible_and_below_the_rejected_value(tmp_path, capsys):
+    """capacity/rate rounds to the float 0.1, past the true bound; the message shows the largest admissible value."""
+    stationary = ["stationary", "--delta", "0", "--sigma", "2000", "--capacity", "200", "--model", "eps-pqm3"]
+    assert main([*stationary, "--eps", "0.1"]) == 2
+    shown = capsys.readouterr().err.split("capacity/sigma_max = ")[1].split(" hr")[0]
+    assert shown == "0.09999999999999999" and float(shown) < 0.1
+    assert main([*stationary, "--eps", shown]) == 0
+    capsys.readouterr()
+    rates = {"demand": {"type": "constant", "rate": 0}, "supply": {"type": "constant", "rate": 2000}}
+    scenario = str(make(tmp_path / "s.json", dict(BASE, **rates, model="pqm3", dt=0.1, horizon=1.0)))
+    assert main(["simulate", scenario]) == 2
+    shown = capsys.readouterr().err.split("capacity/sigma_max = ")[1].split(" hr")[0]
+    assert float(shown) < 0.1
+    assert main(["simulate", scenario, "--dt", shown, "--horizon", repr(5 * float(shown))]) == 0
