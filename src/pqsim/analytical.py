@@ -117,8 +117,7 @@ def vickrey_closed_form(
     grid = [i * dt for i in range(n + 1)]
     arrivals = [demand.cumulative(t) for t in grid]
     served = [supply.cumulative(t) for t in grid]
-    queue = []
-    departures = []
+    queue, departures = [], []
     running_min = 0.0  # F(0) - S(0)
     for f, s in zip(arrivals, served):
         running_min = min(running_min, f - s)
@@ -127,14 +126,7 @@ def vickrey_closed_form(
     waiting = None
     if isinstance(supply, Constant) and supply.rate > 0:
         waiting = tuple(q / supply.rate for q in queue)
-    return VickreySolution(
-        dt=dt,
-        grid=tuple(grid),
-        arrivals=tuple(arrivals),
-        departures=tuple(departures),
-        queue=tuple(queue),
-        waiting=waiting,
-    )
+    return VickreySolution(dt, *map(tuple, (grid, arrivals, departures, queue)), waiting)
 
 
 def stationary_exact(

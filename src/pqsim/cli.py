@@ -98,18 +98,11 @@ def _cmd_vickrey(args) -> int:
     check_grid(scenario)
     initial = scenario.queue.initial if scenario.queue is not None else 0.0
     solution = vickrey_closed_form(scenario.demand, scenario.supply, scenario.dt, scenario.horizon, initial)
-    n = len(solution.grid) - 1
-    dt = solution.dt
-    traj = Trajectory(
-        "vickrey_closed_form",
-        dt,
-        list(solution.grid[:n]),
-        list(solution.queue[:n]),
-        list(solution.arrivals[:n]),
-        list(solution.departures[:n]),
-        [(solution.arrivals[i + 1] - solution.arrivals[i]) / dt for i in range(n)],
-        [(solution.departures[i + 1] - solution.departures[i]) / dt for i in range(n)],
-    )
+    dt, n = solution.dt, len(solution.grid) - 1
+    cumulative = (solution.arrivals, solution.departures)
+    columns = [list(c[:n]) for c in (solution.grid, solution.queue, *cumulative)]
+    fluxes = [[(c[i + 1] - c[i]) / dt for i in range(n)] for c in cumulative]
+    traj = Trajectory("vickrey_closed_form", dt, *columns, *fluxes)
     print(f"vickrey closed form: {traj.stats().describe()}")
     if args.out_dir:
         path = traj.write_csv(Path(args.out_dir) / "vickrey_closed_form.csv")

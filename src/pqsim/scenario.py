@@ -311,25 +311,43 @@ def _largest_volumes(queues, rate, passes_on: str) -> list:
     return volumes
 
 
-def _step_rates(scenario: Scenario, n: int, conv=None):
-    """(delta, sigma) at the start of each of n steps, sampled once per run.
+class _Grid:
+    """One call's step grid: the rates and the time column, sampled once for the ``uses`` runs that share them.
 
-    Iterate it in the ``for`` statement itself: the sampled lists then go
-    when the loop ends, before the run builds its time column, so they add
-    nothing to the run's peak memory.  ``conv`` (such as Fraction) converts each rate.
+    ``rates(conv)`` gives (delta, sigma) at each step start, each converted
+    by ``conv`` (such as Fraction) for that run only; ``times`` is the time
+    column every trajectory of the call shares.  Both are built on first
+    use.  The last run's ``rates`` owns the rate lists: iterated in the
+    ``for`` statement itself, they go when its loop ends, before it asks for
+    ``times``, so a one-model run never holds both.
     """
-    deltas = scenario.demand.rates_on_grid(n, scenario.dt)
-    sigmas = scenario.supply.rates_on_grid(n, scenario.dt)
-    if conv is not None:
-        return zip(map(conv, deltas), map(conv, sigmas))
-    return zip(deltas, sigmas)
+
+    __slots__ = ("scenario", "uses", "_rates", "_times")
+
+    def __init__(self, scenario: Scenario, uses: int = 1):
+        self.scenario, self.uses, self._rates, self._times = scenario, uses, None, None
+
+    def rates(self, conv=None):
+        s, self.uses = self.scenario, self.uses - 1
+        n = round(s.horizon / s.dt)
+        rates = self._rates or (s.demand.rates_on_grid(n, s.dt), s.supply.rates_on_grid(n, s.dt))
+        self._rates = rates if self.uses else None
+        return zip(*rates) if conv is None else zip(*(map(conv, column) for column in rates))
+
+    @property
+    def times(self) -> list[float]:
+        if self._times is None:
+            dt = self.scenario.dt
+            self._times = [i * dt for i in range(round(self.scenario.horizon / dt))]
+        return self._times
 
 
-def _run_point(scenario: Scenario, name: str, exact: bool, model: PqModel, relaxed: bool = False) -> list[Trajectory]:
+def _run_point(
+    scenario: Scenario, name: str, exact: bool, grid: _Grid, model: PqModel, relaxed: bool = False
+) -> list[Trajectory]:
     """The point-queue loop: the state (lam, F, G) lives in locals, one junction-rule call per step."""
     queue = scenario.queue
     dt = scenario.dt
-    n = round(scenario.horizon / dt)
     clamp = not scenario.unsafe
     cumulative = scenario.formulation is Formulation.CUMULATIVE
     conv = float
@@ -344,7 +362,7 @@ def _run_point(scenario: Scenario, name: str, exact: bool, model: PqModel, relax
     else:
         step, vol_dt = point_queue._step_with_volumes, conv(dt)
     queues, arrs, deps, fin, fout = [], [], [], [], []
-    for delta, sigma in _step_rates(scenario, n, conv if exact else None):
+    for delta, sigma in grid.rates(conv if exact else None):
         queues.append(lam)
         arrs.append(arrivals)
         deps.append(departures)
@@ -363,19 +381,18 @@ def _run_point(scenario: Scenario, name: str, exact: bool, model: PqModel, relax
     if exact:
         arrs = list(map(float, arrs))
         deps = list(map(float, deps))
-    return [Trajectory(name, dt, [i * dt for i in range(n)], queues, arrs, deps, fin, fout)]
+    return [Trajectory(name, dt, grid.times, queues, arrs, deps, fin, fout)]
 
 
-def _run_vickrey(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
+def _run_vickrey(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
     """PQM1 with unbounded storage; a 'queue' section only sets the initial content."""
     initial = 0.0 if scenario.queue is None else scenario.queue.initial
-    return _run_point(scenario._replace(queue=QueueSpec.unbounded(initial)), name, exact, model=PqModel.PQM1)
+    return _run_point(scenario._replace(queue=QueueSpec.unbounded(initial)), name, exact, grid, PqModel.PQM1)
 
 
-def _run_link(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
+def _run_link(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
     """Link models run in floats only; ``simulate_model`` rejects ``exact`` for them."""
     dt = scenario.dt
-    n = round(scenario.horizon / dt)
     sim_cls = LtmSimulation if name == "ltm" else LqmSimulation
     try:
         sim = sim_cls(scenario.link, scenario.link_initial, dt)
@@ -383,26 +400,25 @@ def _run_link(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
         raise ValidationError(f"{scenario.source}: {exc}") from None
     step = sim.step
     queues, arrs, deps, fin, fout = [], [], [], [], []
-    for delta, sigma in _step_rates(scenario, n):
+    for delta, sigma in grid.rates():
         arrs.append(sim.arrivals)
         deps.append(sim.departures)
         in_vol, out_vol = step(delta, sigma)
         queues.append(sim.step_queue)
         fin.append(in_vol / dt)
         fout.append(out_vol / dt)
-    return [Trajectory(name, dt, [i * dt for i in range(n)], queues, arrs, deps, fin, fout)]
+    return [Trajectory(name, dt, grid.times, queues, arrs, deps, fin, fout)]
 
 
-def _run_tandem(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
+def _run_tandem(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
     """The tandem loop: each queue's F and G live in locals, one step call per step; it runs in floats only."""
     spec = scenario.tandem
     dt = scenario.dt
-    n = round(scenario.horizon / dt)
     arrivals = [q.spec.initial for q in spec.queues]
     departures = [c * 0 for c in arrivals]
     columns = [([], [], [], [], []) for _ in arrivals]  # per queue: lambda, F, G, f, g
     step = step_tandem  # looked up once per run, at run time, so a wrapper set on the module is seen
-    for delta, sigma in _step_rates(scenario, n):
+    for delta, sigma in grid.rates():
         fluxes = step(spec, arrivals, departures, delta * dt, sigma * dt)
         for k, (q, f, g, f_in, f_out) in enumerate(columns):
             q.append(arrivals[k] - departures[k])
@@ -412,8 +428,7 @@ def _run_tandem(scenario: Scenario, name: str, exact: bool) -> list[Trajectory]:
             f_out.append(fluxes[k + 1] / dt)
         arrivals = list(map(add, arrivals, fluxes))
         departures = list(map(add, departures, fluxes[1:]))
-    times = [i * dt for i in range(n)]
-    return [Trajectory(f"queue{k + 1}", dt, list(times), *column) for k, column in enumerate(columns)]
+    return [Trajectory(f"queue{k + 1}", dt, grid.times, *column) for k, column in enumerate(columns)]
 
 
 def _tandem_notes(scenario: Scenario, trajectories: list[Trajectory]) -> dict:
@@ -440,11 +455,13 @@ class ModelSpec(namedtuple("ModelSpec", "needs check run notes exact", defaults=
 
     ``needs`` names the Scenario fields the model cannot run without,
     ``check(scenario, name)`` raises when its admissibility bound is
-    violated (``unsafe`` skips it), and ``run(scenario, name, exact)``
+    violated (``unsafe`` skips it), and ``run(scenario, name, exact, grid)``
     returns its trajectories: one for a point or link model, one per queue
-    for a tandem.  ``notes(scenario, trajectories)``, when set, returns
-    report lines computed from the recorded columns after the run.
-    ``exact`` marks the models that can run on ``Fraction`` arithmetic.
+    for a tandem.  A runner iterates ``grid.rates()`` once, in its loop's
+    ``for`` statement, and takes ``grid.times`` after the loop, so every
+    model of a call shares one ``_Grid``.  ``notes(scenario, trajectories)``,
+    when set, returns report lines computed from the recorded columns after
+    the run.  ``exact`` marks the models that can run on ``Fraction`` arithmetic.
     """
 
     __slots__ = ()
@@ -492,13 +509,25 @@ def simulate_model(scenario: Scenario, model_name: str | None = None, exact: boo
     formulations A and B coincide identically; outputs are converted back
     to floats.  Any other model with ``exact=True`` raises.
     """
-    name = (model_name or scenario.model).lower()
-    validate_model(scenario, name)
-    if exact and not MODELS[name].exact:
-        raise ValidationError(
-            f"{scenario.source}: exact arithmetic is supported for the exact point models only (got {name!r})"
-        )
-    return MODELS[name].run(scenario, name, exact)
+    return _run_models(scenario, [model_name or scenario.model], exact)[0][1]
+
+
+def _run_models(scenario: Scenario, names: list[str], exact: bool = False) -> list[tuple[str, list[Trajectory]]]:
+    """Validate and run each named model on one grid, in order; (name, its trajectories) per model."""
+    names = [m.lower() for m in names]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValidationError(f"{scenario.source}: model {name!r} is named more than once (set by --models)")
+    grid = _Grid(scenario, len(names))
+    runs = []
+    for name in names:
+        validate_model(scenario, name)
+        if exact and not MODELS[name].exact:
+            raise ValidationError(
+                f"{scenario.source}: exact arithmetic is supported for the exact point models only (got {name!r})"
+            )
+        runs.append((name, MODELS[name].run(scenario, name, exact, grid)))
+    return runs
 
 
 class RunReport:
@@ -522,44 +551,34 @@ class RunReport:
         return max(self.distances.values(), default=0.0)
 
     def summary_lines(self) -> list[str]:
-        lines = []
-        for label, st in self.stats.items():
-            lines.append(f"{label}: {st.describe()}")
-        for (a, b), d in self.distances.items():
-            lines.append(f"sup |lambda_{a} - lambda_{b}| = {d:.6g} veh")
-        for key, value in self.metadata.items():
-            lines.append(f"{key}: {value}")
-        return lines
+        lines = [f"{label}: {st.describe()}" for label, st in self.stats.items()]
+        lines += [f"sup |lambda_{a} - lambda_{b}| = {d:.6g} veh" for (a, b), d in self.distances.items()]
+        return lines + [f"{key}: {value}" for key, value in self.metadata.items()]
 
 
 def run_scenario(
-    scenario: Scenario | str | Path,
-    out_dir: str | Path | None = None,
-    models: list[str] | None = None,
-    exact: bool = False,
+    scenario: Scenario | str | Path, out_dir: str | Path | None = None, models: list[str] | None = None, exact=False
 ) -> RunReport:
     """Run a scenario (every model in ``models``, or its own), write CSVs.
 
     Trajectories are keyed by label: the model name, or ``queue1``..
     ``queueN`` for a tandem.  When more than one model is named, every
     pair of trajectories gets its sup distance.  A model's notes (a
-    tandem's conservation residual) go into the report metadata.
+    tandem's conservation residual) go into the report metadata.  The
+    models share one sampled grid; a model named twice raises.
     """
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
     if out_dir is None and scenario.output is not None:
         out_dir = scenario.output
-    names = [m.lower() for m in (models or [scenario.model])]
+    produced = _run_models(scenario, models or [scenario.model], exact)
     runs, metadata = [], {}
-    for name in names:
-        produced = simulate_model(scenario, name, exact=exact)
-        runs += produced
+    for name, trajectories in produced:
+        runs += trajectories
         notes = MODELS[name].notes
         if notes is not None:
-            metadata.update(notes(scenario, produced))
-    distances = {}
-    if len(names) > 1:
-        distances = {(a.label, b.label): sup_distance(a, b) for a, b in combinations(runs, 2)}
+            metadata.update(notes(scenario, trajectories))
+    distances = {(a.label, b.label): sup_distance(a, b) for a, b in combinations(runs, 2)} if len(produced) > 1 else {}
     trajectories = {t.label: t for t in runs}
     stats = {label: t.stats() for label, t in trajectories.items()}
     report = RunReport(trajectories, stats, distances, metadata)
@@ -569,16 +588,19 @@ def run_scenario(
     return report
 
 
-def convergence_table(
-    scenario: Scenario | str | Path,
-    models: list[str],
-    dt_list: list[float],
-) -> list[dict]:
-    """Max pairwise sup-norm distance between models for each step size."""
+def convergence_table(scenario: Scenario | str | Path, models: list[str], dt_list: list[float]) -> list[dict]:
+    """Max pairwise sup-norm distance between the models' trajectories for each step size.
+
+    Needs at least two models; each step size samples one grid for all of
+    them, and no trajectory stats are computed.
+    """
     if not isinstance(scenario, Scenario):
         scenario = load_scenario(scenario)
+    if len(models) < 2:
+        got = ",".join(models)
+        raise ValidationError(f"{scenario.source}: convergence compares at least two models (got --models {got!r})")
     rows = []
     for dt in dt_list:
-        report = run_scenario(scenario.with_overrides(dt=dt), models=models)
-        rows.append({"dt": dt, "max_distance": report.max_distance})
+        runs = [t for _, trajectories in _run_models(scenario.with_overrides(dt=dt), models) for t in trajectories]
+        rows.append({"dt": dt, "max_distance": max(sup_distance(a, b) for a, b in combinations(runs, 2))})
     return rows

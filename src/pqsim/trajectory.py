@@ -11,7 +11,6 @@ summary statistics exactly recomputable from the file.
 
 from __future__ import annotations
 
-import csv
 import operator
 from collections import namedtuple
 from itertools import starmap
@@ -90,15 +89,7 @@ class Trajectory:
             (t for t, q in zip(self.times[last_peak_idx:], self.queue[last_peak_idx:]) if q <= VANISH_EPS),
             None,
         )
-        tail = self.queue[last_peak_idx:]
-        return TrajectoryStats(
-            max_queue=peak,
-            max_queue_time=peak_time,
-            first_positive_time=first_positive,
-            dissipation_start_time=dissipation,
-            vanish_time=vanish,
-            min_queue_after_peak=min(tail),
-        )
+        return TrajectoryStats(peak, peak_time, first_positive, dissipation, vanish, min(self.queue[last_peak_idx:]))
 
     def write_csv(self, path: str | Path) -> Path:
         columns = (self.times, self.queue, self.arrivals, self.departures, self.inflow_rate, self.outflow_rate)
@@ -106,6 +97,8 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path: str | Path, label: str | None = None) -> "Trajectory":
+        import csv  # here, not at module top: only reading a CSV back needs it
+
         path = Path(path)
         with open(path, newline="") as fh:
             reader = csv.reader(fh)

@@ -189,11 +189,13 @@ def test_cached_values_read_as_plain_attributes():
 def test_cli_import_leaves_out_dataclasses_typing_and_fractions():
     """A fresh interpreter without ``site`` (which preloads ``typing`` on some hosts) imports the CLI.
 
-    Then an exact run still imports ``fractions`` on demand and records what the same run records here.
+    ``csv`` stays out too: only ``Trajectory.from_csv`` reads one.  Then an
+    exact run still imports ``fractions`` on demand and records what the
+    same run records here.
     """
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import pqsim.cli\n"
-        "print([m for m in ('dataclasses', 'typing', 'inspect', 'fractions', 'decimal') if m in sys.modules])\n"
+        "print([m for m in ('dataclasses', 'typing', 'inspect', 'fractions', 'decimal', 'csv') if m in sys.modules])\n"
         "from pqsim.scenario import load_scenario, simulate_model\n"
         "(traj,) = simulate_model(load_scenario(sys.argv[2]).with_overrides(horizon=0.2), exact=True)\n"
         "print('fractions' in sys.modules, traj.queue)\n"

@@ -549,13 +549,15 @@ def _csv_writer_bytes(path, header, rows) -> bytes:
 
 @pytest.mark.parametrize("models", ["pqm1,eps-pqm1,vickrey", "pqm2"])
 def test_comparison_and_convergence_csv_bytes(tmp_path, capsys, models):
-    """Model labels as text, numbers as their repr, comma-separated, CR LF line ends; one model gives the header only."""
+    """Model labels as text, numbers as their repr, comma-separated, CR LF line ends.
+
+    One model gives a comparison.csv of the header only, and no convergence: there is no pair to compare.
+    """
     names = models.split(",")
     scenario = load_scenario(RELAXED).with_overrides(horizon=0.5)
     out = tmp_path / "out"
     common = [RELAXED, "--horizon", "0.5", "--models", models, "--out-dir", str(out)]
     assert main(["compare", *common]) == 0
-    assert main(["convergence", *common, "--dt-list", "0.001,0.0005"]) == 0
     distances = run_scenario(scenario, models=names).distances
     assert len(distances) == len(names) * (len(names) - 1) // 2
     want = _csv_writer_bytes(
@@ -563,6 +565,11 @@ def test_comparison_and_convergence_csv_bytes(tmp_path, capsys, models):
         [[a, b, repr(d)] for (a, b), d in distances.items()],
     )
     assert (out / "comparison.csv").read_bytes() == want
+    if len(names) == 1:
+        assert main(["convergence", *common, "--dt-list", "0.001,0.0005"]) == 2
+        assert "--models" in capsys.readouterr().err and not (out / "convergence.csv").exists()
+        return
+    assert main(["convergence", *common, "--dt-list", "0.001,0.0005"]) == 0
     rows = convergence_table(scenario, names, [0.001, 0.0005])
     want = _csv_writer_bytes(
         tmp_path / "convergence.csv", ["dt", "max_distance"],
