@@ -21,19 +21,11 @@ from .analytical import (
     stationary_exact,
     vickrey_closed_form,
 )
-from .approx import EpsilonConfig, step_eps
 from .errors import PqsimError, ScenarioError, ValidationError
 from .link_models import LqmSimulation, LtmSimulation
 from .links import LinkParams, QueueSpec
 from .network import TandemQueue, TandemSpec, step_tandem
-from .point_queue import (
-    Formulation,
-    PqModel,
-    PqState,
-    PqVariant,
-    step_pq,
-    well_definedness_bound,
-)
+from .point_queue import Formulation, PqModel, well_definedness_bound
 from .profiles import (
     Constant,
     PiecewiseConstant,
@@ -57,15 +49,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Constant",
-    "EpsilonConfig",
     "Formulation",
     "LinkParams",
     "LqmSimulation",
     "LtmSimulation",
     "PiecewiseConstant",
     "PqModel",
-    "PqState",
-    "PqVariant",
     "PqsimError",
     "Profile",
     "QueueSpec",
@@ -89,8 +78,6 @@ __all__ = [
     "sine_floor",
     "stationary_eps",
     "stationary_exact",
-    "step_eps",
-    "step_pq",
     "step_tandem",
     "sup_distance",
     "vickrey_closed_form",

@@ -32,42 +32,15 @@ and eps-PQM2/eps-PQM4 collapse to the relaxed service model ("eps model")
 
     lam' = lam + dt * (delta - min(sigma, lam/eps)).
 
-Both are :func:`step_eps` with ``capacity=None``.
+Both are :func:`_step_with_volumes` with ``capacity=None``.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import partial
-
-from .point_queue import PqModel, PqState, PqVariant, _advance_state
+from .point_queue import PqModel
 from .point_queue import _step_with_volumes as _exact_step
 
-__all__ = [
-    "EpsilonConfig",
-    "step_eps",
-]
-
-
-class EpsilonConfig(namedtuple("EpsilonConfig", "epsilon dt unsafe", defaults=(False,))):
-    """Relaxation time and step size for the relaxed models.
-
-    Requires eps > 0 and dt <= eps; capacity-dependent admissibility is
-    checked at scenario validation where the rate bounds are known.
-    ``unsafe=True`` skips the dt <= eps check so inadmissible steps can be
-    demonstrated deliberately.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, epsilon, dt, unsafe=False):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive (got {epsilon})")
-        if dt <= 0:
-            raise ValueError(f"dt must be positive (got {dt})")
-        if dt > epsilon and not unsafe:
-            raise ValueError(f"relaxed discrete models require dt <= epsilon (got dt={dt}, epsilon={epsilon})")
-        return super().__new__(cls, epsilon, dt, unsafe)
+__all__: list[str] = []
 
 
 def _step_with_volumes(ratio, model: PqModel, lam, feed, service, capacity, clamp: bool):
@@ -97,18 +70,3 @@ def _step_with_volumes(ratio, model: PqModel, lam, feed, service, capacity, clam
         if capacity is not None and capacity < lam_next:
             lam_next = capacity
     return lam_next, inflow, outflow
-
-
-def step_eps(
-    variant: PqVariant,
-    state: PqState,
-    delta,
-    sigma,
-    cfg: EpsilonConfig,
-    capacity,
-    clamp: bool = True,
-) -> PqState:
-    """Advance a relaxed point queue by one step of size cfg.dt."""
-    dt = cfg.dt
-    step = partial(_step_with_volumes, dt / cfg.epsilon)
-    return _advance_state(variant, state, step, delta * dt, sigma * dt, capacity, clamp)

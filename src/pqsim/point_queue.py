@@ -22,9 +22,9 @@ demand and whether the service enters its supply:
 
 Unbounded capacity removes the supply limit entirely (inflow = feed); with
 it PQM1/PQM3 collapse to the classical Vickrey bottleneck recursion
-``lam' = max(0, lam + feed - service)`` (:func:`step_pq` with
-``capacity=None``).  PQM3 with finite capacity is the
-storage/release recursion used for dam processes:
+``lam' = max(0, lam + feed - service)``: :func:`_step_with_volumes` with
+``capacity=None``, which the scenario model ``vickrey`` runs.  PQM3 with
+finite capacity is the storage/release recursion used for dam processes:
 ``lam' = min(feed + lam, capacity) - min(feed + lam, service)``.
 
 Step-size admissibility: PQM1 and PQM2 map [0, capacity] into itself for
@@ -32,13 +32,13 @@ any dt.  PQM3 needs dt <= capacity / max sigma and PQM4 needs
 dt <= capacity / max delta; beyond those bounds a single step can leave
 the physical range (see :func:`well_definedness_bound`).
 
-Two formulations of the same update are provided: formulation A carries
-the queue length forward; formulation B carries the cumulative inflow F
-and outflow G and derives lam = F - G around the junction rule, not inside
-it.  They apply identical volume expressions and coincide exactly in exact
-arithmetic.  Every function here uses plain arithmetic and comparisons
-only, so it can be run on ``fractions.Fraction`` states for bit-exact
-checks.  The step kernels spell ``min(a, b)`` as ``b if b < a else a`` and
+A run carries the update in one of two formulations, both in
+``scenario._run_point``: formulation A carries the queue length forward;
+formulation B carries the cumulative inflow F and outflow G and derives
+lam = F - G around the junction rule, not inside it.  They apply identical
+volume expressions and coincide exactly in exact arithmetic.  Every
+function here uses plain arithmetic and comparisons only, so it can be run
+on ``fractions.Fraction`` states for bit-exact checks.  The step kernels spell ``min(a, b)`` as ``b if b < a else a`` and
 ``max(a, b)`` as ``b if b > a else a``: the builtins' tie rules (the first
 argument wins a tie), hence the same value and type, at a fraction of a
 builtin call's cost.
@@ -47,15 +47,11 @@ builtin call's cost.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from enum import Enum
 
 __all__ = [
     "PqModel",
     "Formulation",
-    "PqVariant",
-    "PqState",
-    "step_pq",
     "well_definedness_bound",
 ]
 
@@ -79,28 +75,6 @@ class PqModel(Enum):
 class Formulation(Enum):
     QUEUE = "A"  # queue length is the state variable
     CUMULATIVE = "B"  # cumulative in/out flows are the state variables
-
-
-class PqVariant(namedtuple("PqVariant", "model formulation", defaults=(Formulation.QUEUE,))):
-    """A ``PqModel`` and the ``Formulation`` that carries its state."""
-
-    __slots__ = ()
-
-
-class PqState(namedtuple("PqState", "queue arrivals departures")):
-    """Point-queue state: queue length plus cumulative in/out flows F and G [veh].
-
-    ``queue`` is authoritative under formulation A; under formulation B it
-    is always ``arrivals - departures``.  Conventions: arrivals(0) equals
-    the initial content, departures(0) = 0.  Immutable; a step returns a
-    new state.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def initial(cls, content) -> "PqState":
-        return cls(content, content, content * 0)
 
 
 def _step_with_volumes(model: PqModel, lam, feed, service, capacity, clamp: bool):
@@ -138,42 +112,6 @@ def _step_with_volumes(model: PqModel, lam, feed, service, capacity, clamp: bool
         if capacity is not None and capacity < lam_next:
             lam_next = capacity
     return lam_next, inflow, outflow
-
-
-_CUMULATIVE = Formulation.CUMULATIVE
-_new_tuple = tuple.__new__  # builds a state tuple without namedtuple.__new__'s Python frame
-
-
-def _advance_state(variant: PqVariant, state: PqState, step, feed, service, capacity, clamp) -> PqState:
-    """Apply the junction rule ``step`` to ``state``; formulation B rederives lam = F - G before and after."""
-    lam, arrivals, departures = state
-    cumulative = variant.formulation is _CUMULATIVE
-    if cumulative:
-        lam = arrivals - departures
-    lam, inflow, outflow = step(variant.model, lam, feed, service, capacity, clamp)
-    arrivals = arrivals + inflow
-    departures = departures + outflow
-    return _new_tuple(PqState, (arrivals - departures if cumulative else lam, arrivals, departures))
-
-
-def step_pq(
-    variant: PqVariant,
-    state: PqState,
-    delta,
-    sigma,
-    dt,
-    capacity,
-    clamp: bool = True,
-) -> PqState:
-    """Advance a point queue by one step of size dt.
-
-    Formulation A updates the queue length; formulation B updates the
-    cumulative flows and rederives the queue length as F - G.  ``clamp``
-    keeps the queue inside [0, capacity] against floating-point dust; pass
-    ``clamp=False`` to reproduce admissibility failures with out-of-bound
-    step sizes.
-    """
-    return _advance_state(variant, state, _step_with_volumes, delta * dt, sigma * dt, capacity, clamp)
 
 
 def _limiting_rate(model: PqModel, delta_max, sigma_max):

@@ -546,10 +546,6 @@ class RunReport:
         self.metadata = {} if metadata is None else metadata
         self.csv_paths = {} if csv_paths is None else csv_paths
 
-    @property
-    def max_distance(self) -> float:
-        return max(self.distances.values(), default=0.0)
-
     def summary_lines(self) -> list[str]:
         lines = [f"{label}: {st.describe()}" for label, st in self.stats.items()]
         lines += [f"sup |lambda_{a} - lambda_{b}| = {d:.6g} veh" for (a, b), d in self.distances.items()]

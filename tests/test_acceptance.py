@@ -15,24 +15,21 @@ import pytest
 
 from pqsim import (
     Constant,
-    EpsilonConfig,
     Formulation,
     PiecewiseConstant,
     PqModel,
-    PqState,
-    PqVariant,
     Trajectory,
     load_scenario,
     simulate_model,
-    step_eps,
-    step_pq,
     stationary_eps,
     stationary_exact,
     vickrey_closed_form,
     well_definedness_bound,
 )
+from pqsim import approx, point_queue
 from pqsim.cli import main
 from pqsim.scenario import convergence_table, run_scenario, scenario_from_dict
+from point_runs import per_step, run_steps
 
 ALL_MODELS = list(PqModel)
 RUSH_SCENARIO = "scenarios/sine_floor_single_queue.json"
@@ -195,17 +192,15 @@ def test_criterion_07_well_definedness_campaign(tmp_path):
     trials_per_model = 10_000
     steps = 25
     for model in ALL_MODELS:
-        variant = PqVariant(model)
         for _ in range(trials_per_model):
             cap = rng.uniform(10, 400)
             bound = well_definedness_bound(model, 3000.0, 3000.0, cap)
             dt = rng.uniform(1e-4, min(bound, 0.25))
-            state = PqState.initial(rng.uniform(0, cap))
-            for _ in range(steps):
-                state = step_pq(
-                    variant, state, rng.uniform(0, 3000), rng.uniform(0, 3000), dt, cap, clamp=False
-                )
-                assert -1e-9 <= state.queue <= cap + 1e-9
+            initial = rng.uniform(0, cap)
+            rates = [(rng.uniform(0, 3000), rng.uniform(0, 3000)) for _ in range(steps)]
+            # Unsafe: the clamp is off, and dt lies within the bound by construction.
+            run = run_steps(model.value, *per_step(rates, dt), dt, steps, cap, initial, unsafe=True)
+            assert all(-1e-9 <= lam <= cap + 1e-9 for lam in run.queue[1:])
     # Oversized step for PQM3 through the CLI unsafe path.
     doc = {
         "model": "pqm3",
@@ -222,12 +217,9 @@ def test_criterion_07_well_definedness_campaign(tmp_path):
     negative = min(Trajectory.from_csv(tmp_path / "pqm3.csv").queue)
     assert negative < 0
     # Oversized relaxation time for eps-PQM3: fixed point cap - eps*sigma < 0.
-    cfg = EpsilonConfig(epsilon=0.1, dt=0.1)  # bound is 200/3000 = 1/15 hr
-    state = PqState.initial(150.0)
-    eps_min = 150.0
-    for _ in range(50):
-        state = step_eps(PqVariant(PqModel.PQM3), state, 5000.0, 3000.0, cfg, 200.0, clamp=False)
-        eps_min = min(eps_min, state.queue)
+    eps = 0.1  # bound is 200/3000 = 1/15 hr
+    run = run_steps("eps-pqm3", Constant(5000.0), Constant(3000.0), eps, 50, 200.0, 150.0, epsilon=eps, unsafe=True)
+    eps_min = min(run.queue)
     assert eps_min < 0
     report(
         7,
@@ -291,7 +283,6 @@ def test_criterion_08_stationary_solvers_and_long_runs():
     horizon = 10.0
     checked = 0
     for model in ALL_MODELS:
-        variant = PqVariant(model)
         for delta, sigma in (over, under):
             predicted = stationary_exact(delta, sigma, cap, model).queue
             # Tight steps only where the discrete offset (sigma*dt or
@@ -300,16 +291,15 @@ def test_criterion_08_stationary_solvers_and_long_runs():
             dt = 7e-7 if needs_tiny else 0.01
             dt = min(dt, 0.9 * well_definedness_bound(model, delta, sigma, cap))
             lam = _fixed_point(
-                lambda q: step_pq(variant, PqState.initial(q), delta, sigma, dt, cap).queue,
+                lambda q: point_queue._step_with_volumes(model, q, delta * dt, sigma * dt, cap, True)[0],
                 50.0,
                 round(horizon / dt),
             )
             assert lam == pytest.approx(predicted, abs=1e-3)
             checked += 1
             eps_predicted = stationary_eps(model, delta, sigma, cap, eps).queue
-            cfg = EpsilonConfig(eps, eps)
             lam_eps = _fixed_point(
-                lambda q: step_eps(variant, PqState.initial(q), delta, sigma, cfg, cap).queue,
+                lambda q: approx._step_with_volumes(eps / eps, model, q, delta * eps, sigma * eps, cap, True)[0],
                 50.0,
                 round(horizon / eps),
             )
@@ -332,10 +322,9 @@ def test_criterion_08_stationary_solvers_and_long_runs():
         solved = stationary_eps(model, *equal, cap, dt)
         assert (solved.queue_lo, solved.queue_hi) == (lo, hi)
         for formulation in Formulation:
-            variant = PqVariant(model, formulation)
             for start in (0.0, 100.0, cap):
-                lam = step_pq(variant, PqState.initial(start), *equal, dt, cap).queue
-                assert lam == min(max(start, lo), hi)
+                run = run_steps(model.value, *map(Constant, equal), dt, 1, cap, start, formulation=formulation)
+                assert run.queue[1] == min(max(start, lo), hi)
                 balanced += 1
     report(
         8,

@@ -7,19 +7,17 @@ import pytest
 
 from pqsim import (
     Constant,
-    EpsilonConfig,
     PiecewiseConstant,
     PqModel,
-    PqState,
-    PqVariant,
+    Scenario,
     ValidationError,
+    simulate_model,
     sine_floor,
     stationary_eps,
     stationary_exact,
-    step_eps,
-    step_pq,
     vickrey_closed_form,
 )
+from point_runs import run_steps
 
 ALL_MODELS = list(PqModel)
 
@@ -225,7 +223,7 @@ class TestStationaryRelaxed:
          (1200, 1200, 0.1), (2000, 1200, 0.15), (1200, 2000, 0.15), (2500, 2500, 0.1)],
     )
     def test_matches_long_relaxed_runs(self, delta, sigma, eps):
-        """A 3-hour step_eps run from empty and from full ends on the reported state and flux.
+        """A 3-hour relaxed run from empty and from full ends on the reported state and flux.
 
         From (1500, 1000, 0.12) on, eps * min(delta, sigma) > capacity/2, where
         eps-PQM2 settles at capacity/2 with flux capacity/(2 eps).  The last
@@ -234,18 +232,17 @@ class TestStationaryRelaxed:
         delta) <= capacity; the others are skipped.
         """
         cap, dt = 200.0, eps / 10
-        cfg = EpsilonConfig(eps, dt)
         limiting_rate = {PqModel.PQM3: sigma, PqModel.PQM4: delta}
         for model in ALL_MODELS:
             if eps * limiting_rate.get(model, 0) > cap:
                 continue
             result = stationary_eps(model, delta, sigma, cap, eps)
             for start in (0.0, cap):
-                state = PqState.initial(start)
-                for _ in range(round(3.0 / dt)):
-                    prev, state = state, step_eps(PqVariant(model), state, delta, sigma, cfg, cap)
-                assert result.queue_lo - 1e-6 <= state.queue <= result.queue_hi + 1e-6, (model, start)
-                assert (state.departures - prev.departures) / dt == pytest.approx(result.flux), (model, start)
+                run = run_steps(
+                    f"eps-{model.value}", Constant(delta), Constant(sigma), dt, round(3.0 / dt), cap, start, epsilon=eps
+                )
+                assert result.queue_lo - 1e-6 <= run.queue[-1] <= result.queue_hi + 1e-6, (model, start)
+                assert (run.departures[-1] - run.departures[-2]) / dt == pytest.approx(result.flux), (model, start)
 
     def test_relaxation_bound_enforced(self):
         """eps-PQM3 is bounded by capacity/sigma alone, eps-PQM4 by capacity/delta alone."""
@@ -291,10 +288,7 @@ class TestClosedFormVsVickreyStepper:
         dt = 0.001
         n = round(2.0 / dt)
         sol = vickrey_closed_form(demand, supply, dt, 2.0)
-        vickrey = PqVariant(PqModel.PQM1)  # with unbounded storage
-        state = PqState.initial(0.0)
-        worst = 0.0
-        for i in range(n):
-            worst = max(worst, abs(state.queue - sol.queue[i]))
-            state = step_pq(vickrey, state, demand.rate_at(i * dt), supply.rate_at(i * dt), dt, None)
+        (run,) = simulate_model(Scenario("vickrey", demand, supply, dt, 2.0))
+        assert len(run.queue) == n
+        worst = max(abs(q - want) for q, want in zip(run.queue, sol.queue))
         assert worst <= (demand.max_rate + supply.rate) * dt

@@ -8,28 +8,23 @@ import pytest
 
 from pqsim import (
     Constant,
-    EpsilonConfig,
-    Formulation,
     PqModel,
-    PqState,
-    PqVariant,
-    step_eps,
-    step_pq,
     well_definedness_bound,
 )
+from pqsim import point_queue
 from pqsim.approx import _step_with_volumes
+from point_runs import per_step, run_steps
 
 ALL_MODELS = list(PqModel)
 
 
-def run_eps(model, rates, cfg, capacity, initial=0.0, clamp=True):
-    variant = PqVariant(model)
-    state = PqState.initial(initial)
-    series = [state.queue]
-    for delta, sigma in rates:
-        state = step_eps(variant, state, delta, sigma, cfg, capacity, clamp=clamp)
-        series.append(state.queue)
-    return series
+def run_eps(model, demand, supply, eps, dt, steps, capacity, initial=0.0, clamp=True):
+    """eps-``model`` through ``simulate_model``; the queue from the start to after the last step.
+
+    ``clamp=False`` runs unsafe, which skips the dt <= eps and eps bounds.
+    """
+    traj = run_steps(f"eps-{model.value}", demand, supply, dt, steps, capacity, initial, epsilon=eps, unsafe=not clamp)
+    return traj.queue
 
 
 class TestDemandSupplyRates:
@@ -52,41 +47,29 @@ class TestDemandSupplyRates:
         assert _step_with_volumes(0.5, PqModel.PQM4, 5.0, 1.0, 1.5, None, True) == (4.5, 1.0, 1.5)
 
 
-class TestEpsilonConfig:
-    def test_step_must_not_exceed_relaxation_time(self):
-        with pytest.raises(ValueError):
-            EpsilonConfig(epsilon=0.001, dt=0.002)
-        EpsilonConfig(epsilon=0.001, dt=0.002, unsafe=True)  # demonstration path
-
-    def test_positive_fields(self):
-        with pytest.raises(ValueError):
-            EpsilonConfig(epsilon=0.0, dt=0.001)
-        with pytest.raises(ValueError):
-            EpsilonConfig(epsilon=0.001, dt=0.0)
+def relaxed_step(model, lam, delta, sigma, eps, dt, capacity):
+    """The queue after one relaxed step from ``lam``: the relaxed junction rule's first value."""
+    return _step_with_volumes(dt / eps, model, lam, delta * dt, sigma * dt, capacity, True)[0]
 
 
 class TestStepExamples:
     def test_zero_drift_stays_empty(self):
-        cfg = EpsilonConfig(0.001, 0.0001)
-        state = step_eps(PqVariant(PqModel.PQM1), PqState.initial(0.0), 0, 1200, cfg, 200.0)
-        assert state.queue == 0.0
+        assert relaxed_step(PqModel.PQM1, 0.0, 0, 1200, 0.001, 0.0001, 200.0) == 0.0
 
     def test_ceiling_fixed_point(self):
         """Constant oversaturation pins eps-PQM3 at capacity - eps*sigma = 198.8."""
-        cfg = EpsilonConfig(0.001, 0.0001)
-        series = run_eps(PqModel.PQM3, [(2000.0, 1200.0)] * 4000, cfg, 200.0)
+        series = run_eps(PqModel.PQM3, Constant(2000.0), Constant(1200.0), 0.001, 0.0001, 4000, 200.0)
         assert series[-1] == pytest.approx(198.8, abs=1e-9)
 
     def test_floor_fixed_point(self):
         """Constant undersaturation pins eps-PQM2 at eps*delta = 1."""
-        cfg = EpsilonConfig(0.001, 0.0001)
-        series = run_eps(PqModel.PQM2, [(1000.0, 1200.0)] * 4000, cfg, 200.0, initial=50.0)
+        series = run_eps(PqModel.PQM2, Constant(1000.0), Constant(1200.0), 0.001, 0.0001, 4000, 200.0, initial=50.0)
         assert series[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 def unbounded_step(model, lam, delta, sigma, eps, dt):
     """One relaxed step with unbounded storage (the alpha and eps models)."""
-    return step_eps(PqVariant(model), PqState.initial(lam), delta, sigma, EpsilonConfig(eps, dt), None).queue
+    return relaxed_step(model, lam, delta, sigma, eps, dt, None)
 
 
 class TestUnboundedSpecialCases:
@@ -101,9 +84,7 @@ class TestUnboundedSpecialCases:
         assert unbounded_step(PqModel.PQM2, 0.0, 1000, 1200, 0.001, 0.0001) == pytest.approx(0.1)
 
     def test_eps_model_fixed_point_is_eps_delta(self):
-        lam = 0.0
-        for _ in range(3000):
-            lam = unbounded_step(PqModel.PQM2, lam, 1000, 1200, 0.001, 0.0001)
+        lam = run_eps(PqModel.PQM2, Constant(1000), Constant(1200), 0.001, 0.0001, 3000, None)[-1]
         assert lam == pytest.approx(1.0, abs=1e-9)
 
     def test_alpha_equals_unbounded_pqm1_pqm3_exactly(self):
@@ -136,33 +117,25 @@ class TestCollapseAtDtEqualsEps:
         """With dt = eps the relaxed volumes equal the exact ones, step for step."""
         rng = random.Random(29)
         dt = 0.01
-        cfg = EpsilonConfig(epsilon=dt, dt=dt)
         for model in ALL_MODELS:
             for _ in range(100):
                 cap = rng.uniform(50, 400)
                 lam = rng.uniform(0, cap)
-                delta, sigma = rng.uniform(0, 3000), rng.uniform(0, 3000)
-                relaxed = step_eps(PqVariant(model), PqState.initial(lam), delta, sigma, cfg, cap)
-                exact = step_pq(PqVariant(model), PqState.initial(lam), delta, sigma, dt, cap)
-                assert relaxed.queue == exact.queue
-                assert relaxed.arrivals == exact.arrivals
-                assert relaxed.departures == exact.departures
+                feed, service = rng.uniform(0, 3000) * dt, rng.uniform(0, 3000) * dt
+                relaxed = _step_with_volumes(dt / dt, model, lam, feed, service, cap, True)
+                exact = point_queue._step_with_volumes(model, lam, feed, service, cap, True)
+                assert relaxed == exact  # the next queue, the inflow and the outflow
 
 
 class TestConvergenceInEps:
     def test_distance_to_exact_model_shrinks_with_eps(self, rush_demand, service_1200):
         dt = 0.0001
         n = round(1.0 / dt)
-        rates = [(rush_demand.rate_at(i * dt), service_1200.rate_at(i * dt)) for i in range(n)]
         for model in ALL_MODELS:
-            exact = []
-            state = PqState.initial(0.0)
-            for delta, sigma in rates:
-                state = step_pq(PqVariant(model), state, delta, sigma, dt, 200.0)
-                exact.append(state.queue)
+            exact = run_steps(model.value, rush_demand, service_1200, dt, n, 200.0).queue[1:]
             gaps = []
             for eps in (0.01, 0.001):
-                series = run_eps(model, rates, EpsilonConfig(eps, dt), 200.0)[1:]
+                series = run_eps(model, rush_demand, service_1200, eps, dt, n, 200.0)[1:]
                 gaps.append(max(abs(a - b) for a, b in zip(series, exact)))
             assert gaps[1] < gaps[0]
 
@@ -183,9 +156,9 @@ class TestWellDefinedness:
                 cap = rng.uniform(20, 400)
                 eps = rng.uniform(1e-4, well_definedness_bound(model, 3000, 3000, cap))
                 eps = min(eps, 0.1)
-                cfg = EpsilonConfig(eps, eps * rng.uniform(0.1, 1.0))
+                dt = eps * rng.uniform(0.1, 1.0)
                 rates = [(rng.uniform(0, 3000), rng.uniform(0, 3000)) for _ in range(25)]
-                series = run_eps(model, rates, cfg, cap, rng.uniform(0, cap), clamp=False)
+                series = run_eps(model, *per_step(rates, dt), eps, dt, 25, cap, rng.uniform(0, cap), clamp=False)
                 assert min(series) >= -1e-9
                 assert max(series) <= cap + 1e-9
 
@@ -193,21 +166,18 @@ class TestWellDefinedness:
         """eps beyond capacity/sigma pulls the relaxed fixed point below zero."""
         cap, sigma = 200.0, 3000.0
         eps = 0.1  # bound is 200/3000
-        cfg = EpsilonConfig(eps, eps)
-        series = run_eps(PqModel.PQM3, [(5000.0, sigma)] * 50, cfg, cap, initial=150.0, clamp=False)
+        series = run_eps(PqModel.PQM3, Constant(5000.0), Constant(sigma), eps, eps, 50, cap, initial=150.0, clamp=False)
         assert min(series) < 0
 
     def test_eps_pqm4_violation_overfills(self):
         cap, delta = 200.0, 5000.0
         eps = 0.1  # bound is 200/5000
-        cfg = EpsilonConfig(eps, eps)
-        series = run_eps(PqModel.PQM4, [(delta, 100.0)] * 50, cfg, cap, initial=0.0, clamp=False)
+        series = run_eps(PqModel.PQM4, Constant(delta), Constant(100.0), eps, eps, 50, cap, initial=0.0, clamp=False)
         assert max(series) > cap
 
     def test_step_beyond_eps_breaks_range(self):
         """dt > eps can drain more than the queue holds; dt <= eps is necessary."""
-        cfg = EpsilonConfig(epsilon=0.1, dt=0.2, unsafe=True)
-        series = run_eps(PqModel.PQM2, [(0.0, 200.0)] * 3, cfg, 200.0, initial=10.0, clamp=False)
+        series = run_eps(PqModel.PQM2, Constant(0.0), Constant(200.0), 0.1, 0.2, 3, 200.0, initial=10.0, clamp=False)
         assert min(series) < 0
 
 
@@ -218,13 +188,8 @@ class TestSmoothness:
         models' kink size at the capacity switch."""
         dt, eps, cap = 0.0001, 0.001, 200.0
         n = round(2.0 / dt)
-        rates = [(rush_demand.rate_at(i * dt), service_1200.rate_at(i * dt)) for i in range(n)]
-        relaxed = run_eps(PqModel.PQM2, rates, EpsilonConfig(eps, dt), cap)
-        exact = [0.0]
-        state = PqState.initial(0.0)
-        for delta, sigma in rates:
-            state = step_pq(PqVariant(PqModel.PQM2), state, delta, sigma, dt, cap)
-            exact.append(state.queue)
+        relaxed = run_eps(PqModel.PQM2, rush_demand, service_1200, eps, dt, n, cap)
+        exact = run_steps("pqm2", rush_demand, service_1200, dt, n, cap).queue
 
         def second_diff(series):
             return max(

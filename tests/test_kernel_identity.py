@@ -2,10 +2,11 @@
 
 The step, state and output code is written for interpreter speed; these
 tests check, with exact equality, that it computes what the readable
-formulas compute.  The references below are the kernels as written with
-the ``min``/``max`` builtins; the kernels spell them as conditional
-expressions, which must keep the builtins' tie rules, so the comparisons
-are on ``repr`` and type, where 0.0 and -0.0, or 0 and 0.0, differ.
+formulas compute.  The references, here and in ``reference``, are the
+kernels as written with the ``min``/``max`` builtins; the kernels spell
+them as conditional expressions, which must keep the builtins' tie rules,
+so the comparisons are on ``repr`` and type, where 0.0 and -0.0, or 0 and
+0.0, differ.
 """
 
 import csv
@@ -24,18 +25,16 @@ from pqsim import (
     LtmSimulation,
     PiecewiseConstant,
     PqModel,
-    PqState,
-    PqVariant,
     QueueSpec,
     SineFloor,
     TandemQueue,
     TandemSpec,
     Trajectory,
-    step_pq,
     step_tandem,
 )
 from pqsim.approx import _step_with_volumes as eps_step
 from pqsim.point_queue import _step_with_volumes as exact_step
+from reference import _ref_advance, _ref_demand_volume, _ref_eps_advance, _ref_supply_volume
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
 # T1 = 1/60 hr, T2 = 1/20 hr, storage = 150 veh, capacity = 2250 vph
@@ -135,13 +134,6 @@ def test_pq_model_flags():
     assert PqModel("pqm3") is PqModel.PQM3 and PqModel.PQM3.label == "PQM3"
 
 
-def test_pq_state_is_immutable():
-    state = PqState.initial(5.0)
-    assert state == PqState(queue=5.0, arrivals=5.0, departures=0.0)
-    with pytest.raises(AttributeError):
-        state.queue = 1.0
-
-
 def test_link_params_cache_is_invisible_to_eq_hash_and_fields():
     used = LinkParams(**STANDARD._asdict())
     assert used.capacity == 2250 and used.storage == 150
@@ -153,57 +145,8 @@ def test_link_params_cache_is_invisible_to_eq_hash_and_fields():
 
 
 # --------------------------------------------------------------------------
-# Reference kernels: the min/max forms the conditional expressions replace.
-
-
-def _ref_demand_volume(model, lam, feed):
-    return feed + lam if model.demand_includes_feed else lam
-
-
-def _ref_supply_volume(model, lam, service, capacity):
-    if capacity is None:
-        return None
-    room = capacity - lam
-    if model.supply_includes_service:
-        return None if service is None else service + room
-    return room
-
-
-def _ref_advance(model, lam, feed, service, capacity, clamp):
-    svol = _ref_supply_volume(model, lam, service, capacity)
-    inflow = feed if svol is None else min(feed, svol)
-    dvol = _ref_demand_volume(model, lam, feed)
-    outflow = min(dvol, service)
-    if model.demand_includes_feed:
-        drained = max(-feed, lam - service)
-    else:
-        drained = max(0, lam - service)
-    lam_next = inflow + drained
-    if clamp:
-        lam_next = max(lam_next, 0)
-        if capacity is not None:
-            lam_next = min(lam_next, capacity)
-    return lam_next, inflow, outflow
-
-
-def _ref_eps_advance(model, lam, feed, service, capacity, ratio, clamp):
-    if ratio == 1:
-        return _ref_advance(model, lam, feed, service, capacity, clamp)
-    relax_out = lam * ratio
-    dvol = feed + relax_out if model.demand_includes_feed else relax_out
-    if capacity is None:
-        svol = None
-    else:
-        relax_in = (capacity - lam) * ratio
-        svol = service + relax_in if model.supply_includes_service else relax_in
-    inflow = feed if svol is None else min(feed, svol)
-    outflow = min(dvol, service)
-    lam_next = lam + (inflow - outflow)
-    if clamp:
-        lam_next = max(lam_next, 0)
-        if capacity is not None:
-            lam_next = min(lam_next, capacity)
-    return lam_next, inflow, outflow
+# Reference forms of the tandem, LQM and profile kernels.  The point-queue
+# ones are in ``reference``, shared with the run-loop replay.
 
 
 def _ref_step_tandem(spec, arrivals, departures, feed, service):
@@ -311,11 +254,6 @@ def test_eps_advance_matches_the_min_max_form(model, inputs, ratio, clamp):
     lam, feed, service, capacity = inputs
     got = eps_step(ratio, model, lam, feed, service, capacity, clamp)
     _same(got, _ref_eps_advance(model, lam, feed, service, capacity, ratio, clamp))
-
-
-def test_step_pq_returns_a_pq_state():
-    state = step_pq(PqVariant(PqModel.PQM3), PqState.initial(5.0), 1200.0, 600.0, 0.01, 200.0)
-    assert type(state) is PqState and state == (11.0, 17.0, 6.0)
 
 
 def test_step_tandem_matches_on_every_tie():

@@ -10,14 +10,11 @@ from pqsim import (
     LinkParams,
     LqmSimulation,
     LtmSimulation,
-    PqModel,
-    PqState,
-    PqVariant,
     scenario_from_dict,
     sine_floor,
-    step_pq,
 )
 from pqsim.scenario import validate_model
+from point_runs import run_steps
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
 # storage = 150 veh, T1 = 1/60, T2 = 1/20, capacity = 2250 vph
@@ -179,12 +176,8 @@ class TestZeroLengthLimit:
         rates = [(demand.rate_at(i * dt), supply.rate_at(i * dt)) for i in range(n)]
 
         def run_point(model):
-            state = PqState.initial(0.0)
-            out = []
-            for delta, sigma in rates:
-                state = step_pq(PqVariant(model), state, delta, sigma, dt, storage)
-                out.append(state.queue)
-            return out
+            """The state after each step: the link runs below record after each step too."""
+            return run_steps(model, demand, supply, dt, n, storage).queue[1:]
 
         def run_link(cls, params, read):
             sim = cls(params, 0.0, dt)
@@ -194,8 +187,8 @@ class TestZeroLengthLimit:
                 out.append(read(sim))
             return out
 
-        pqm1 = run_point(PqModel.PQM1)
-        pqm2 = run_point(PqModel.PQM2)
+        pqm1 = run_point("pqm1")
+        pqm2 = run_point("pqm2")
         gaps_ltm, gaps_lqm = [], []
         for length in (1.0, 0.1, 0.01):
             lanes = storage / (length * 150.0)

@@ -13,8 +13,6 @@ from pqsim import (
     Constant,
     Formulation,
     PqModel,
-    PqState,
-    PqVariant,
     QueueSpec,
     Scenario,
     TandemQueue,
@@ -23,10 +21,10 @@ from pqsim import (
     scenario_from_dict,
     simulate_model,
     sine_floor,
-    step_pq,
     step_tandem,
 )
 from pqsim.scenario import validate_model
+from point_runs import per_step, run_steps
 
 RUSH = sine_floor(2000, 1000)
 SERVICE = Constant(1200)
@@ -90,16 +88,16 @@ class TestSingleQueueReduction:
         for model in PqModel:
             spec = TandemSpec((TandemQueue(QueueSpec(capacity=200.0, initial=30.0), model),))
             arrivals, departures = [30.0], [0.0]
-            reference = PqState.initial(30.0)
-            variant = PqVariant(model, Formulation.CUMULATIVE)
             dt = 0.01
-            for _ in range(200):
-                delta, sigma = rng.uniform(0, 3000), rng.uniform(0, 3000)
+            rates = [(rng.uniform(0, 3000), rng.uniform(0, 3000)) for _ in range(200)]
+            reference = run_steps(
+                model.value, *per_step(rates, dt), dt, 200, 200.0, 30.0, formulation=Formulation.CUMULATIVE
+            )
+            for k, (delta, sigma) in enumerate(rates, 1):
                 arrivals, departures, _ = advance(spec, arrivals, departures, delta, sigma, dt)
-                reference = step_pq(variant, reference, delta, sigma, dt, 200.0)
-                assert arrivals[0] == reference.arrivals
-                assert departures[0] == reference.departures
-                assert arrivals[0] - departures[0] == reference.queue
+                assert arrivals[0] == reference.arrivals[k]
+                assert departures[0] == reference.departures[k]
+                assert arrivals[0] - departures[0] == reference.queue[k]
 
     @pytest.mark.parametrize("initial", [0.0, 30.0])
     @pytest.mark.parametrize("capacity", [200.0, None])

@@ -7,27 +7,28 @@ from fractions import Fraction
 import pytest
 
 from pqsim import (
+    Constant,
     Formulation,
     PqModel,
-    PqState,
-    PqVariant,
-    step_pq,
     well_definedness_bound,
 )
 from pqsim.point_queue import _step_with_volumes
+from point_runs import per_step, run_steps
 
 ALL_MODELS = list(PqModel)
 
 
-def run_queue(model, rates, dt, capacity, initial=0.0, formulation=Formulation.QUEUE, clamp=True):
-    """Drive step_pq over (delta, sigma) pairs; returns the queue series."""
-    variant = PqVariant(model, formulation)
-    state = PqState.initial(initial)
-    series = [state.queue]
-    for delta, sigma in rates:
-        state = step_pq(variant, state, delta, sigma, dt, capacity, clamp=clamp)
-        series.append(state.queue)
-    return series
+def run_queue(model, rates, dt, capacity, initial=0.0, clamp=True):
+    """One step per (delta, sigma) pair through ``simulate_model``; the queue from the start to after the last step.
+
+    ``clamp=False`` runs unsafe, which skips the step bound: callers keep dt within it.
+    """
+    return run_steps(model.value, *per_step(rates, dt), dt, len(rates), capacity, initial, unsafe=not clamp).queue
+
+
+def step_queue(model, lam, delta, sigma, dt, capacity, clamp=True):
+    """The queue after one step from ``lam``: the junction rule's first value."""
+    return _step_with_volumes(model, lam, delta * dt, sigma * dt, capacity, clamp)[0]
 
 
 class TestDemandSupplyVolumes:
@@ -53,22 +54,19 @@ class TestDemandSupplyVolumes:
 class TestStep:
     def test_interior_update(self):
         """PQM1: 100 + min(20, 112) - min(120, 12) = 108."""
-        state = step_pq(PqVariant(PqModel.PQM1), PqState.initial(100.0), 2000, 1200, 0.01, 200.0)
-        assert state.queue == 108.0
+        assert step_queue(PqModel.PQM1, 100.0, 2000, 1200, 0.01, 200.0) == 108.0
 
     def test_nothing_in_nothing_stored(self):
-        state = step_pq(PqVariant(PqModel.PQM2), PqState.initial(0.0), 0, 1200, 0.01, 200.0)
-        assert state.queue == 0.0
+        assert step_queue(PqModel.PQM2, 0.0, 0, 1200, 0.01, 200.0) == 0.0
 
     def test_storage_ceiling(self):
         """PQM3 near capacity: in = min(20, 10) = 10, out = min(210, 12) = 12."""
-        state = step_pq(PqVariant(PqModel.PQM3), PqState.initial(190.0), 2000, 1200, 0.01, 200.0)
-        assert state.queue == 188.0
+        assert step_queue(PqModel.PQM3, 190.0, 2000, 1200, 0.01, 200.0) == 188.0
 
     def test_cumulative_flows_track_volumes(self):
-        state = step_pq(PqVariant(PqModel.PQM1), PqState.initial(100.0), 2000, 1200, 0.01, 200.0)
-        assert state.arrivals == pytest.approx(120.0)
-        assert state.departures == pytest.approx(12.0)
+        traj = run_steps("pqm1", Constant(2000), Constant(1200), 0.01, 1, 200.0, 100.0)
+        assert traj.arrivals[1] == pytest.approx(120.0)
+        assert traj.departures[1] == pytest.approx(12.0)
 
 
 class TestVickreyStep:
@@ -76,7 +74,7 @@ class TestVickreyStep:
 
     @staticmethod
     def vickrey(model, lam, delta, sigma, dt):
-        return step_pq(PqVariant(model), PqState.initial(lam), delta, sigma, dt, None).queue
+        return step_queue(model, lam, delta, sigma, dt, None)
 
     def test_undersaturated_stays_empty(self):
         assert self.vickrey(PqModel.PQM1, 0.0, 1000, 1200, 0.01) == 0.0
@@ -156,22 +154,17 @@ class TestBoundedness:
 
 class TestFormulationEquivalence:
     def test_queue_equals_cumulative_difference_exactly(self):
-        """Under exact arithmetic, formulation A's queue equals B's F - G."""
+        """Under exact arithmetic, formulation A's queue equals B's F - G, recorded as floats."""
         rng = random.Random(5)
         for model in ALL_MODELS:
-            cap = Fraction(200)
-            dt = Fraction(1, 100)
             initial = Fraction(rng.uniform(0, 150)).limit_denominator(1 << 40)
-            rates = [
-                (Fraction(rng.uniform(0, 3000)), Fraction(rng.uniform(0, 3000))) for _ in range(60)
-            ]
-            a = PqState.initial(initial)
-            b = PqState.initial(initial)
-            for delta, sigma in rates:
-                a = step_pq(PqVariant(model, Formulation.QUEUE), a, delta, sigma, dt, cap)
-                b = step_pq(PqVariant(model, Formulation.CUMULATIVE), b, delta, sigma, dt, cap)
-                assert a.queue == b.arrivals - b.departures
-                assert a.arrivals == b.arrivals and a.departures == b.departures
+            rates = [(rng.uniform(0, 3000), rng.uniform(0, 3000)) for _ in range(60)]
+            a, b = (
+                run_steps(model.value, *per_step(rates, 0.01), 0.01, 60, 200.0, initial, exact=True, formulation=f)
+                for f in Formulation
+            )
+            assert a.queue == b.queue
+            assert a.arrivals == b.arrivals and a.departures == b.departures
 
 
 class TestMoranIdentity:
@@ -184,10 +177,9 @@ class TestMoranIdentity:
             lam = cap * Fraction(rng.randrange(0, 101), 100)
             delta = Fraction(rng.uniform(0, 3000))
             sigma = Fraction(rng.uniform(0, 3000))
-            state = step_pq(PqVariant(PqModel.PQM3), PqState.initial(lam), delta, sigma, dt, cap)
             feed, service = delta * dt, sigma * dt
             expected = min(feed + lam, cap) - min(feed + lam, service)
-            assert state.queue == expected
+            assert step_queue(PqModel.PQM3, lam, delta, sigma, dt, cap) == expected
 
 
 class TestModelEquivalenceInTheLimit:
@@ -197,8 +189,7 @@ class TestModelEquivalenceInTheLimit:
         max_gap = {}
         for dt in (0.01, 0.001):
             n = round(1.0 / dt)
-            rates = [(rush_demand.rate_at(i * dt), service_1200.rate_at(i * dt)) for i in range(n)]
-            series = {m: run_queue(m, rates, dt, 200.0) for m in ALL_MODELS}
+            series = {m: run_steps(m.value, rush_demand, service_1200, dt, n, 200.0).queue for m in ALL_MODELS}
             gap = 0.0
             for i, m1 in enumerate(ALL_MODELS):
                 for m2 in ALL_MODELS[i + 1 :]:
@@ -234,18 +225,17 @@ class TestUnsafeViolations:
         """Past the bound, a full queue discharges more than it holds: cap - service < 0."""
         cap = 100.0
         dt = 0.2  # bound is 100/1200 = 1/12 hr
-        state = step_pq(PqVariant(PqModel.PQM3), PqState.initial(cap), 2000, 1200, dt, cap, clamp=False)
-        assert state.queue == cap - 1200 * dt  # -140
-        assert state.queue < 0
+        lam = step_queue(PqModel.PQM3, cap, 2000, 1200, dt, cap, clamp=False)
+        assert lam == cap - 1200 * dt  # -140
+        assert lam < 0
 
     def test_pqm4_with_oversized_step_overfills(self):
         """Past the bound, the feed can be accepted wholesale: delta*dt > capacity."""
         cap = 100.0
         dt = 0.2  # bound is 100/2000 = 0.05 hr
-        state = step_pq(PqVariant(PqModel.PQM4), PqState.initial(0.0), 2000, 5000, dt, cap, clamp=False)
-        assert state.queue == 2000 * dt  # 400
-        assert state.queue > cap
+        lam = step_queue(PqModel.PQM4, 0.0, 2000, 5000, dt, cap, clamp=False)
+        assert lam == 2000 * dt  # 400
+        assert lam > cap
 
     def test_clamp_masks_the_excursion(self):
-        state = step_pq(PqVariant(PqModel.PQM3), PqState.initial(100.0), 2000, 1200, 0.2, 100.0, clamp=True)
-        assert state.queue == 0.0
+        assert step_queue(PqModel.PQM3, 100.0, 2000, 1200, 0.2, 100.0, clamp=True) == 0.0

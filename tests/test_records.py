@@ -18,13 +18,10 @@ import pytest
 
 from pqsim import (
     Constant,
-    EpsilonConfig,
     Formulation,
     LinkParams,
     PiecewiseConstant,
     PqModel,
-    PqState,
-    PqVariant,
     QueueSpec,
     RunReport,
     Scenario,
@@ -88,18 +85,6 @@ RECORDS = [
     ),
     _record(TandemQueue, (QUEUE, PqModel.PQM3), "spec model", {"model": PqModel.PQM1}),
     _record(TandemSpec, ((TandemQueue(QUEUE),),), "queues", bad=[(((),), "at least one queue")]),
-    _record(PqVariant, (PqModel.PQM2, Formulation.CUMULATIVE), "model formulation", {"formulation": Formulation.QUEUE}),
-    _record(
-        EpsilonConfig,
-        (0.1, 0.05, True),
-        "epsilon dt unsafe",
-        {"unsafe": False},
-        bad=[
-            ((0.0, 0.1), "epsilon must be positive"),
-            ((0.1, 0.0), "dt must be positive"),
-            ((0.1, 0.2), r"require dt <= epsilon \(got dt=0.2, epsilon=0.1\)"),
-        ],
-    ),
     _record(Constant, (1200.0,), "rate", bad=[((-1.0,), "rate must be nonnegative")]),
     _record(
         PiecewiseConstant,
@@ -126,7 +111,6 @@ RECORDS = [
     ),
     _record(StationaryResult, (0.0, 1.0, 2.0, True), "queue_lo queue_hi flux limit_of_discrete", {"limit_of_discrete": False}),
     _record(VickreySolution, (0.1, (0.0,), (0.0,), (0.0,), (0.0,), None), "dt grid arrivals departures queue waiting"),
-    _record(PqState, (1.0, 1.0, 0.0), "queue arrivals departures"),
     _record(ModelSpec, (("queue",), None, print), "needs check run notes exact", {"notes": None, "exact": False}),
     _record(
         Trajectory,

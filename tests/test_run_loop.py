@@ -1,13 +1,15 @@
 """The point-queue run loop against a step-by-step replay, and the paper's invariants as properties.
 
 ``scenario._run_point`` keeps (lam, F, G) in locals and calls the junction
-rule once per step.  The oracle here rebuilds every recorded cell with one
-``step_pq``/``step_eps`` call per step and compares by ``repr`` and type.
-The properties run on random scenarios within each model's dt and eps
-bounds: formulations A and B coincide under ``Fraction`` arithmetic, with
-the clamp off the queue stays in [0, capacity], and lambda = F - G holds
-(exactly in B and under ``Fraction``, to a round-off bound in A).  One
-step of every junction rule is monotone in the feed within those bounds.
+rule once per step.  The oracle here, ``_replay``, rebuilds every recorded
+cell from the min/max reference kernels of ``reference`` with its own
+(lam, F, G) bookkeeping, calls no ``pqsim`` step function, and is compared
+by ``repr`` and type.  The properties run on random scenarios within each
+model's dt and eps bounds: formulations A and B coincide under
+``Fraction`` arithmetic, with the clamp off the queue stays in
+[0, capacity], and lambda = F - G holds (exactly in B and under
+``Fraction``, to a round-off bound in A).  One step of every junction
+rule is monotone in the feed within those bounds.
 """
 
 from fractions import Fraction
@@ -18,21 +20,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqsim import (
-    EpsilonConfig,
     Formulation,
     PiecewiseConstant,
     PqModel,
-    PqState,
-    PqVariant,
     QueueSpec,
     Scenario,
     simulate_model,
-    step_eps,
-    step_pq,
     well_definedness_bound,
 )
 from pqsim import approx, point_queue
 from pqsim.scenario import MODELS, validate_model
+from reference import _ref_advance, _ref_eps_advance
 
 EXACT_ROWS = [m.value for m in PqModel]
 RELAXED_ROWS = [f"eps-{m.value}" for m in PqModel]
@@ -96,39 +94,38 @@ def _exactly_admissible(scenario: Scenario, name: str) -> bool:
 
 
 def _replay(scenario: Scenario, name: str, exact: bool):
-    """Every state from start to end and each step's (inflow, outflow) volumes.
+    """Every state (lam, F, G) from start to end and each step's (inflow, outflow) volumes.
 
-    One ``step_pq``/``step_eps`` call per step.  The volumes are read off
-    the junction rule through a recording wrapper on its module attribute,
-    the name ``step_pq`` and ``step_eps`` call it by.
+    One reference-kernel call per step.  Formulation B re-derives
+    lam = F - G before and after each step, as the paper's cumulative form
+    states it; formulation A carries lam.
     """
-    relaxed = name.startswith("eps-")
-    module = approx if relaxed else point_queue
     conv = Fraction if exact else float
+    model = _model(name)
     capacity = None if name == "vickrey" else conv(scenario.queue.capacity)
     clamp = not scenario.unsafe
-    dt = scenario.dt
-    n = round(scenario.horizon / dt)
-    variant = PqVariant(_model(name), scenario.formulation)
-    cfg = EpsilonConfig(conv(scenario.epsilon), conv(dt), unsafe=True) if relaxed else None
-    states, volumes = [PqState.initial(conv(scenario.queue.initial))], []
-    kernel = module._step_with_volumes
-
-    def recording(*args):
-        result = kernel(*args)
-        volumes.append(result[1:])
-        return result
-
-    module._step_with_volumes = recording
-    try:
-        for delta, sigma in zip(scenario.demand.rates_on_grid(n, dt), scenario.supply.rates_on_grid(n, dt)):
-            delta, sigma = conv(delta), conv(sigma)
-            if relaxed:
-                states.append(step_eps(variant, states[-1], delta, sigma, cfg, capacity, clamp))
-            else:
-                states.append(step_pq(variant, states[-1], delta, sigma, conv(dt), capacity, clamp))
-    finally:
-        module._step_with_volumes = kernel
+    cumulative = scenario.formulation is Formulation.CUMULATIVE
+    relaxed = name.startswith("eps-")
+    dt = conv(scenario.dt)
+    ratio = dt / conv(scenario.epsilon) if relaxed else None
+    n = round(scenario.horizon / scenario.dt)
+    rates = zip(scenario.demand.rates_on_grid(n, scenario.dt), scenario.supply.rates_on_grid(n, scenario.dt))
+    lam = arrivals = conv(scenario.queue.initial)
+    departures = lam * 0
+    states, volumes = [(lam, arrivals, departures)], []
+    for delta, sigma in rates:
+        feed, service = conv(delta) * dt, conv(sigma) * dt
+        if cumulative:
+            lam = arrivals - departures
+        if relaxed:
+            lam, inflow, outflow = _ref_eps_advance(model, lam, feed, service, capacity, ratio, clamp)
+        else:
+            lam, inflow, outflow = _ref_advance(model, lam, feed, service, capacity, clamp)
+        arrivals, departures = arrivals + inflow, departures + outflow
+        if cumulative:
+            lam = arrivals - departures
+        states.append((lam, arrivals, departures))
+        volumes.append((inflow, outflow))
     return states, volumes
 
 
@@ -157,9 +154,9 @@ def test_recorded_cells_equal_a_step_by_step_replay(name, data):
     record = float if exact else (lambda x: x)
     want = _cells([
         [i * dt for i in range(len(states))],
-        [float(s.queue) for s in states],
-        [record(s.arrivals) for s in states],
-        [record(s.departures) for s in states],
+        [float(lam) for lam, _, _ in states],
+        [record(f) for _, f, _ in states],
+        [record(g) for _, _, g in states],
         [inflow / dt for inflow, _ in volumes],
         [outflow / dt for _, outflow in volumes],
     ])
@@ -185,8 +182,8 @@ def test_queue_stays_within_capacity_inside_the_bounds(name, data):
     validate_model(scenario, name)
     states, _ = _replay(scenario._replace(unsafe=True), name, exact=True)
     capacity = None if name == "vickrey" else Fraction(scenario.queue.capacity)
-    for state in states:
-        assert 0 <= state.queue and (capacity is None or state.queue <= capacity)
+    for lam, _, _ in states:
+        assert 0 <= lam and (capacity is None or lam <= capacity)
 
 
 # Unit round-off of doubles: a rounded +, - or * is off by at most U times the size of its result.
@@ -230,7 +227,7 @@ def test_conservation_is_exact_under_fractions(name, data):
     """lambda = F - G on every state of A and B: with the clamp off anywhere, with it on inside the bounds."""
     scenario = data.draw(point_scenarios(name))
     states, _ = _replay(scenario, name, exact=True)
-    assert all(state.queue == state.arrivals - state.departures for state in states)
+    assert all(lam == f - g for lam, f, g in states)
 
 
 def _share(data, whole: Fraction) -> Fraction:

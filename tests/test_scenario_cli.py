@@ -176,12 +176,12 @@ class TestRunScenario:
 
     def test_compare_single_variant_zero_distance(self):
         report = run_scenario(scenario_from_dict(dict(BASE)), models=["pqm2"])
-        assert report.max_distance == 0.0
+        assert max(report.distances.values(), default=0.0) == 0.0
 
     def test_compare_reports_pairwise_distances(self):
         report = run_scenario(scenario_from_dict(dict(BASE)), models=["pqm1", "pqm2", "pqm3"])
         assert set(report.distances) == {("pqm1", "pqm2"), ("pqm1", "pqm3"), ("pqm2", "pqm3")}
-        assert report.max_distance > 0
+        assert max(report.distances.values()) > 0
 
     def test_convergence_table_monotone(self):
         rows = convergence_table(scenario_from_dict(dict(BASE)), ["pqm1", "pqm2"], [0.01, 0.001])
@@ -229,6 +229,15 @@ class TestCli:
         assert main(["simulate", str(scenario), "--unsafe", "--out-dir", str(out_dir)]) == 0
         reloaded = Trajectory.from_csv(out_dir / "pqm3.csv")
         assert min(reloaded.queue) < 0
+
+    def test_relaxed_step_past_epsilon_needs_unsafe(self, tmp_path, capsys):
+        """dt = 0.2 > eps = 0.1 exits 2; --unsafe runs it unclamped, past capacity 200: 0, 160, 240, 160, ..."""
+        doc = dict(BASE, model="eps-pqm1", demand={"type": "constant", "rate": 2000}, epsilon=0.1, dt=0.2)
+        scenario = make(tmp_path / "s.json", doc)
+        assert main(["simulate", str(scenario)]) == 2
+        assert "relaxed models require dt <= epsilon = 0.1 hr (got dt = 0.2)" in capsys.readouterr().err
+        assert main(["simulate", str(scenario), "--unsafe", "--out-dir", str(tmp_path / "out")]) == 0
+        assert max(Trajectory.from_csv(tmp_path / "out" / "eps-pqm1.csv").queue) == 240.0
 
     def test_compare_command(self, tmp_path, capsys):
         scenario = make(tmp_path / "s.json", BASE)
@@ -336,13 +345,12 @@ class TestTandemThroughModels:
 
 def test_public_names_are_pinned():
     assert sorted(pqsim.__all__) == sorted([
-        "Constant", "EpsilonConfig", "Formulation", "LinkParams", "LqmSimulation", "LtmSimulation",
-        "PiecewiseConstant", "PqModel", "PqState", "PqVariant", "PqsimError", "Profile", "QueueSpec",
-        "RunReport", "Scenario", "ScenarioError", "SineFloor", "StationaryResult", "TandemQueue",
-        "TandemSpec", "Trajectory", "TrajectoryStats", "ValidationError", "VickreySolution",
-        "convergence_table", "load_scenario", "profile_from_dict", "run_scenario", "scenario_from_dict",
-        "simulate_model", "sine_floor", "stationary_eps", "stationary_exact", "step_eps", "step_pq",
-        "step_tandem", "sup_distance", "vickrey_closed_form", "well_definedness_bound",
+        "Constant", "Formulation", "LinkParams", "LqmSimulation", "LtmSimulation", "PiecewiseConstant",
+        "PqModel", "PqsimError", "Profile", "QueueSpec", "RunReport", "Scenario", "ScenarioError",
+        "SineFloor", "StationaryResult", "TandemQueue", "TandemSpec", "Trajectory", "TrajectoryStats",
+        "ValidationError", "VickreySolution", "convergence_table", "load_scenario", "profile_from_dict",
+        "run_scenario", "scenario_from_dict", "simulate_model", "sine_floor", "stationary_eps",
+        "stationary_exact", "step_tandem", "sup_distance", "vickrey_closed_form", "well_definedness_bound",
     ])
 
 
