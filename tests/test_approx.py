@@ -9,6 +9,10 @@ import pytest
 from pqsim import (
     Constant,
     PqModel,
+    QueueSpec,
+    Scenario,
+    ValidationError,
+    simulate_model,
     well_definedness_bound,
 )
 from pqsim import point_queue
@@ -45,6 +49,31 @@ class TestDemandSupplyRates:
     def test_unbounded_supply(self):
         """eps-PQM4 without capacity: the whole feed enters; outflow min(1.5, 5 * 0.5)."""
         assert _step_with_volumes(0.5, PqModel.PQM4, 5.0, 1.0, 1.5, None, True) == (4.5, 1.0, 1.5)
+
+
+class TestEpsilonConfig:
+    """A relaxed scenario's epsilon and dt, as ``simulate_model`` checks them before it steps."""
+
+    @staticmethod
+    def run(eps, dt, unsafe=False):
+        scenario = Scenario(
+            "eps-pqm1", Constant(2000.0), Constant(1200.0), dt, 10 * dt, QueueSpec(200.0), epsilon=eps, unsafe=unsafe
+        )
+        return simulate_model(scenario)
+
+    def test_step_must_not_exceed_relaxation_time(self):
+        with pytest.raises(ValidationError, match=r"relaxed models require dt <= epsilon = 0.001 hr \(got dt = 0.002\)"):
+            self.run(0.001, 0.002)
+        (traj,) = self.run(0.001, 0.002, unsafe=True)  # demonstration path
+        assert len(traj) == 10
+
+    def test_positive_fields(self):
+        """Structural, so ``unsafe`` does not skip them."""
+        for unsafe in (False, True):
+            with pytest.raises(ValidationError, match="epsilon must be positive and finite"):
+                self.run(0.0, 0.001, unsafe)
+            with pytest.raises(ValidationError, match="dt must be positive and finite"):
+                self.run(0.001, 0.0, unsafe)
 
 
 def relaxed_step(model, lam, delta, sigma, eps, dt, capacity):

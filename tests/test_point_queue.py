@@ -167,6 +167,33 @@ class TestFormulationEquivalence:
             assert a.arrivals == b.arrivals and a.departures == b.departures
 
 
+class TestRunRecords:
+    """A run's row k holds the state (lambda, F, G) after k steps, the first one the initial content."""
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("formulation", list(Formulation))
+    def test_first_row_counts_the_initial_content_as_arrivals(self, formulation, exact):
+        """PQM3 from 5 with feed 12 and service 6: F = 5 + 12, G = 6, lambda = 11, all recorded as floats."""
+        traj = run_steps(
+            "pqm3", Constant(1200.0), Constant(600.0), 0.01, 1, 200.0, 5.0, exact=exact, formulation=formulation
+        )
+        rows = list(zip(traj.queue, traj.arrivals, traj.departures))
+        assert rows == [(5.0, 5.0, 0.0), (11.0, 17.0, 6.0)]
+        assert all(type(value) is float for row in rows for value in row)
+        assert traj.inflow_rate[0] == pytest.approx(1200.0) and traj.outflow_rate[0] == pytest.approx(600.0)
+
+    def test_per_step_rates_hold_pair_k_on_step_k(self):
+        """Step k of a run sees the k-th (delta, sigma) pair; the last pair holds after the list ends."""
+        rng = random.Random(9)
+        dt, rates = 0.01, _random_rates(rng, 7)
+        demand, supply = per_step(rates, dt)
+        assert list(zip(demand.rates_on_grid(9, dt), supply.rates_on_grid(9, dt))) == rates + rates[-1:] * 2
+        traj = run_steps("pqm1", demand, supply, dt, 7, None)
+        assert [(f, g) for f, g in zip(traj.inflow_rate, traj.outflow_rate)][:7] == [
+            pytest.approx((d, min(s, d + lam / dt))) for (d, s), lam in zip(rates, traj.queue)
+        ]
+
+
 class TestMoranIdentity:
     def test_pqm3_matches_storage_release_recursion(self):
         """PQM3 step == min(feed + lam, cap) - min(feed + lam, service), exactly."""
