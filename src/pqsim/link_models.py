@@ -25,15 +25,19 @@ and the step volumes are
     demand = min(flux_in(t - T1) * dt + queue,   capacity * dt)
     supply = min(flux_out(t - T2) * dt + vacancy, capacity * dt).
 
-Delayed values are read from the stored cumulative-flow histories by
-linear interpolation, so T1 and T2 need not be grid multiples.  Histories
-are seeded analytically for t <= 0 from the uniform initial density: the
-virtual pre-simulation inflow ramps linearly so that F(s) = content *
-(1 + s/T1) on [-T1, 0], and symmetrically for G, which reproduces the
-constant-rate start-up regime of both boundaries.  Within the step bound
+Delayed values are interpolated linearly in the cumulative-flow histories,
+so T1 and T2 need not be grid multiples.  For t <= 0 the histories are
+seeded from the uniform initial density: the virtual inflow ramps so that
+F(s) = content * (1 + s/T1) on [-T1, 0], and symmetrically for G, which
+reproduces the constant-rate start-up regime of both boundaries.  Within
 dt <= min(T1, T2), which scenario validation enforces, reads never look
 past the current time; under ``unsafe`` a read past the present returns
 the latest recorded value.
+
+Each model's arithmetic is one kernel, ``_lqm_advance``/``_ltm_advance``,
+that runs any number of steps with F, G in locals and appends them after
+each step to the caller's lists: the histories, and a run's F and G columns
+less the final entry.  The ``*Simulation`` classes call it one step at a time.
 """
 
 from __future__ import annotations
@@ -51,136 +55,126 @@ def _check_start(params: LinkParams, initial_vehicles: float, dt: float) -> None
         raise ValueError(f"dt must be positive (got {dt})")
 
 
-class LqmSimulation:
-    """Delay-free link simulation; owns its state for the whole run.
+def _lqm_advance(params: LinkParams, dt: float, arrivals: list, departures: list, rates) -> tuple[list, list, list]:
+    """Step the LQM per (delta, sigma) of ``rates``; (contents F - G at the step starts, inflow, outflow volumes).
 
-    ``step_queue`` is the content F - G the latest step started from.
+    d and s are unchecked: within dt <= min(T1, T2) rho stays in [0, storage]; an unsafe run shows where it goes.
     """
-
-    def __init__(self, params: LinkParams, initial_vehicles: float, dt: float):
-        _check_start(params, initial_vehicles, dt)
-        self.params = params
-        self.dt = dt
-        self.arrivals = initial_vehicles  # F
-        self.departures = 0.0  # G
-        self.step_queue = None
-        # What the step reads of params, taken once.
-        self._rate_terms = (params.free_flow_time, params.wave_time, params.storage, params.capacity)
-
-    def step(self, delta: float, sigma: float) -> tuple[float, float]:
-        """Advance one step; returns (inflow, outflow) volumes [veh].
-
-        The rates d and s are the module docstring's, unchecked: within
-        dt <= min(T1, T2) the step keeps rho in [0, storage], and an unsafe
-        run past that bound shows where rho goes instead of stopping.
-        """
-        t1, t2, storage, cap = self._rate_terms
-        rho = self.arrivals - self.departures
+    t1, t2, storage, cap = params.free_flow_time, params.wave_time, params.storage, params.capacity
+    f, g = arrivals[-1], departures[-1]
+    queues, inflows, outflows = [], [], []
+    for delta, sigma in rates:
+        rho = f - g
         d = rho / t1
         d = cap if cap < d else d
         s = (storage - rho) / t2
         s = cap if cap < s else s
-        inflow = (s if s < delta else delta) * self.dt
-        outflow = (sigma if sigma < d else d) * self.dt
-        self.arrivals += inflow
-        self.departures += outflow
-        self.step_queue = rho
-        return inflow, outflow
+        inflow = (s if s < delta else delta) * dt
+        outflow = (sigma if sigma < d else d) * dt
+        f += inflow
+        g += outflow
+        arrivals.append(f)
+        departures.append(g)
+        queues.append(rho)
+        inflows.append(inflow)
+        outflows.append(outflow)
+    return queues, inflows, outflows
 
 
-class LtmSimulation:
-    """Delay-based link simulation with interpolated cumulative histories.
+def _ltm_advance(params: LinkParams, initial: float, dt: float, arrivals: list, departures: list, rates):
+    """Step the LTM per (delta, sigma) of ``rates``; (queues F(t - T1) - G(t) at the step starts, inflow, outflow).
 
-    ``arrivals`` and ``departures`` are F(t) and G(t), the last entries of
-    the histories; ``step_queue`` is the downstream queue F(t - T1) - G(t)
-    the latest step started from.
+    F and G at t - T1 (t - T2) and one step later come from the histories
+    from t = 0 for s > 0 and the seed for s <= 0, each read once per step.
     """
-
-    def __init__(self, params: LinkParams, initial_vehicles: float, dt: float):
-        _check_start(params, initial_vehicles, dt)
-        self.params = params
-        self.dt = dt
-        self.initial_vehicles = initial_vehicles
-        self.arrivals = initial_vehicles
-        self.departures = 0.0
-        self.step_queue = None
-        self._arrivals = [initial_vehicles]  # F on the grid from t = 0
-        self._departures = [0.0]  # G on the grid from t = 0
-        # What the step reads of params, taken once: the two delays, the
-        # storage, and the slope of G's virtual seed.
-        self._delays = (params.free_flow_time, params.wave_time)
-        self._storage = params.storage
-        self._seed_outflow = (params.storage - initial_vehicles) / params.wave_time
-        self._cap_volume = params.capacity * dt
-
-    def _volumes(self) -> tuple[float, float, float]:
-        """(queue, demand, supply) [veh] for the next step.
-
-        Four delayed reads: F and G at t - T1 (t - T2) and one step later,
-        interpolated linearly in the histories for s > 0 and taken from the
-        virtual seed for s <= 0.  F(t - T1) and G(t - T2) are read once each
-        and shared by the queue, the vacancy and the volumes.
-        """
-        dt = self.dt
-        last = len(self._arrivals) - 1  # index of F(t) and G(t) in the histories
+    t1, t2, storage = params.free_flow_time, params.wave_time, params.storage
+    seed_outflow = (storage - initial) / t2  # the slope of G's virtual seed
+    cap_volume = params.capacity * dt
+    f, g = arrivals[-1], departures[-1]
+    last = len(arrivals) - 1  # index of F(t) and G(t) in the histories
+    queues, inflows, outflows = [], [], []
+    for delta, sigma in rates:
         t = last * dt
-        t1, t2 = self._delays
-        series = self._arrivals
-        a_lo = t - t1
-        a_hi = t + dt - t1
+        a_lo, a_hi = t - t1, t + dt - t1
         # F's seed: the inflow ramp ending at F(0) = initial content.
         if a_lo <= 0:
-            seed = self.initial_vehicles * (1.0 + a_lo / t1)
+            seed = initial * (1.0 + a_lo / t1)
             a_lo = seed if seed > 0.0 else 0.0
         else:
             pos = a_lo / dt
             j = int(pos)
-            a_lo = series[-1] if j >= last else series[j] + (pos - j) * (series[j + 1] - series[j])
+            a_lo = f if j >= last else arrivals[j] + (pos - j) * (arrivals[j + 1] - arrivals[j])
         if a_hi <= 0:
-            seed = self.initial_vehicles * (1.0 + a_hi / t1)
+            seed = initial * (1.0 + a_hi / t1)
             a_hi = seed if seed > 0.0 else 0.0
         else:
             pos = a_hi / dt
             j = int(pos)
-            a_hi = series[-1] if j >= last else series[j] + (pos - j) * (series[j + 1] - series[j])
-        series = self._departures
-        d_lo = t - t2
-        d_hi = t + dt - t2
+            a_hi = f if j >= last else arrivals[j] + (pos - j) * (arrivals[j + 1] - arrivals[j])
+        d_lo, d_hi = t - t2, t + dt - t2
         # G's seed: negative values encode the pre-simulation ramp.
         if d_lo <= 0:
-            d_lo = self._seed_outflow * d_lo
+            d_lo = seed_outflow * d_lo
         else:
             pos = d_lo / dt
             j = int(pos)
-            d_lo = series[-1] if j >= last else series[j] + (pos - j) * (series[j + 1] - series[j])
+            d_lo = g if j >= last else departures[j] + (pos - j) * (departures[j + 1] - departures[j])
         if d_hi <= 0:
-            d_hi = self._seed_outflow * d_hi
+            d_hi = seed_outflow * d_hi
         else:
             pos = d_hi / dt
             j = int(pos)
-            d_hi = series[-1] if j >= last else series[j] + (pos - j) * (series[j + 1] - series[j])
-        queue = a_lo - self.departures
+            d_hi = g if j >= last else departures[j] + (pos - j) * (departures[j + 1] - departures[j])
+        queue = a_lo - g
         queue = queue if queue > 0.0 else 0.0
-        vacancy = d_lo + self._storage - self.arrivals
+        vacancy = d_lo + storage - f
         vacancy = vacancy if vacancy > 0.0 else 0.0
-        cap_volume = self._cap_volume
         demand = (a_hi - a_lo) + queue
         demand = cap_volume if cap_volume < demand else demand
         supply = (d_hi - d_lo) + vacancy
         supply = cap_volume if cap_volume < supply else supply
-        return queue, demand, supply
-
-    def step(self, delta: float, sigma: float) -> tuple[float, float]:
-        """Advance one step; returns (inflow, outflow) volumes [veh]."""
-        queue, demand, supply = self._volumes()
-        dt = self.dt
         inflow = delta * dt
         inflow = supply if supply < inflow else inflow
         outflow = sigma * dt
         outflow = outflow if outflow < demand else demand
-        self.arrivals += inflow
-        self.departures += outflow
-        self._arrivals.append(self.arrivals)
-        self._departures.append(self.departures)
-        self.step_queue = queue
+        f += inflow
+        g += outflow
+        arrivals.append(f)
+        departures.append(g)
+        last += 1
+        queues.append(queue)
+        inflows.append(inflow)
+        outflows.append(outflow)
+    return queues, inflows, outflows
+
+
+class _LinkSimulation:
+    """A link run stepped one pair at a time; ``step_queue`` is the queue the latest step started from."""
+
+    def __init__(self, params: LinkParams, initial_vehicles: float, dt: float):
+        _check_start(params, initial_vehicles, dt)
+        self.params, self.initial_vehicles, self.dt = params, initial_vehicles, dt
+        self._arrivals, self._departures, self.step_queue = [initial_vehicles], [0.0], None  # F, G from t = 0
+
+    arrivals = property(lambda self: self._arrivals[-1], doc="F(t), the last entry of the history.")
+    departures = property(lambda self: self._departures[-1], doc="G(t), the last entry of the history.")
+
+
+class LqmSimulation(_LinkSimulation):
+    """Delay-free link simulation; ``step_queue`` is the content F - G."""
+
+    def step(self, delta: float, sigma: float) -> tuple[float, float]:
+        """Advance one step; returns (inflow, outflow) volumes [veh]."""
+        args = (self.params, self.dt, self._arrivals, self._departures, ((delta, sigma),))
+        (self.step_queue,), (inflow,), (outflow,) = _lqm_advance(*args)
+        return inflow, outflow
+
+
+class LtmSimulation(_LinkSimulation):
+    """Delay-based link simulation; ``step_queue`` is the downstream queue F(t - T1) - G(t)."""
+
+    def step(self, delta: float, sigma: float) -> tuple[float, float]:
+        """Advance one step; returns (inflow, outflow) volumes [veh]."""
+        args = (self.params, self.initial_vehicles, self.dt, self._arrivals, self._departures, ((delta, sigma),))
+        (self.step_queue,), (inflow,), (outflow,) = _ltm_advance(*args)
         return inflow, outflow

@@ -43,13 +43,12 @@ import json
 import math
 from collections import namedtuple
 from functools import partial
-from itertools import combinations
-from operator import add
+from itertools import combinations, repeat
+from operator import add, truediv
 from pathlib import Path
 
-from . import approx, point_queue
+from . import approx, link_models, point_queue
 from .errors import ScenarioError, ValidationError
-from .link_models import LqmSimulation, LtmSimulation
 from .links import LinkParams, QueueSpec
 from .network import TandemQueue, TandemSpec, step_tandem
 from .point_queue import Formulation, PqModel, _violated_bound
@@ -317,9 +316,8 @@ class _Grid:
     ``rates(conv)`` gives (delta, sigma) at each step start, each converted
     by ``conv`` (such as Fraction) for that run only; ``times`` is the time
     column every trajectory of the call shares.  Both are built on first
-    use.  The last run's ``rates`` owns the rate lists: iterated in the
-    ``for`` statement itself, they go when its loop ends, before it asks for
-    ``times``, so a one-model run never holds both.
+    use.  The last run's ``rates`` owns the rate lists: they go when its
+    loop ends, before it asks for ``times``, so a one-model run never holds both.
     """
 
     __slots__ = ("scenario", "uses", "_rates", "_times")
@@ -391,22 +389,22 @@ def _run_vickrey(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> lis
 
 
 def _run_link(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
-    """Link models run in floats only; ``simulate_model`` rejects ``exact`` for them."""
-    dt = scenario.dt
-    sim_cls = LtmSimulation if name == "ltm" else LqmSimulation
+    """One kernel call runs the grid, in floats only; the F and G columns are its histories less the final entry."""
+    dt, link, initial = scenario.dt, scenario.link, scenario.link_initial
     try:
-        sim = sim_cls(scenario.link, scenario.link_initial, dt)
+        link_models._check_start(link, initial, dt)
     except ValueError as exc:
         raise ValidationError(f"{scenario.source}: {exc}") from None
-    step = sim.step
-    queues, arrs, deps, fin, fout = [], [], [], [], []
-    for delta, sigma in grid.rates():
-        arrs.append(sim.arrivals)
-        deps.append(sim.departures)
-        in_vol, out_vol = step(delta, sigma)
-        queues.append(sim.step_queue)
-        fin.append(in_vol / dt)
-        fout.append(out_vol / dt)
+    arrs, deps = [initial], [0.0]
+    # Looked up at run time, so a wrapper set on the module is seen.
+    if name == "ltm":
+        queues, fin, fout = link_models._ltm_advance(link, initial, dt, arrs, deps, grid.rates())
+    else:
+        queues, fin, fout = link_models._lqm_advance(link, dt, arrs, deps, grid.rates())
+    del arrs[-1], deps[-1]
+    # Volumes to rates before the time column exists, so the peak holds one spare column at most.
+    fin = list(map(truediv, fin, repeat(dt)))
+    fout = list(map(truediv, fout, repeat(dt)))
     return [Trajectory(name, dt, grid.times, queues, arrs, deps, fin, fout)]
 
 
@@ -457,8 +455,8 @@ class ModelSpec(namedtuple("ModelSpec", "needs check run notes exact", defaults=
     ``check(scenario, name)`` raises when its admissibility bound is
     violated (``unsafe`` skips it), and ``run(scenario, name, exact, grid)``
     returns its trajectories: one for a point or link model, one per queue
-    for a tandem.  A runner iterates ``grid.rates()`` once, in its loop's
-    ``for`` statement, and takes ``grid.times`` after the loop, so every
+    for a tandem.  A runner iterates ``grid.rates()`` once, holding it only
+    in its loop, and takes ``grid.times`` after the loop, so every
     model of a call shares one ``_Grid``.  ``notes(scenario, trajectories)``,
     when set, returns report lines computed from the recorded columns after
     the run.  ``exact`` marks the models that can run on ``Fraction`` arithmetic.

@@ -34,6 +34,7 @@ from pqsim import (
 )
 from pqsim.approx import _step_with_volumes as eps_step
 from pqsim.point_queue import _step_with_volumes as exact_step
+from link_runs import next_step_volumes
 from reference import _ref_advance, _ref_demand_volume, _ref_eps_advance, _ref_supply_volume
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
@@ -118,7 +119,7 @@ def test_ltm_volumes_equal_the_reference_formula_at_every_step():
         seeded += _ref_now(sim) - STANDARD.wave_time <= 0
         queued += queue > 0
         full += vacancy == 0
-        assert sim._volumes() == (queue, *_reference_volumes(sim))
+        assert next_step_volumes(sim) == (queue, *_reference_volumes(sim))
         sim.step(4000 if i < 300 else 0, 500)
     assert seeded >= 10 and queued > 0 and full > 0
 
@@ -362,6 +363,12 @@ def test_rates_on_grid_match_rate_at(case):
     assert type(got) is list
     _same(got, [_ref_rate_at(profile, i * dt) for i in range(n)])
     _same(got, [profile.rate_at(i * dt) for i in range(n)])
+
+
+def test_rates_on_grid_survive_an_overflowing_step_count():
+    """b/dt overflows to infinity: every grid point lies before the breakpoint."""
+    assert PiecewiseConstant((0, 1e300), (1, 2)).rates_on_grid(3, 5e-324) == [1.0] * 3
+    assert PiecewiseConstant((0, 1e-300), (1, 2)).rates_on_grid(3, 1e300) == [1.0, 2.0, 2.0]
 
 
 @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])

@@ -4,17 +4,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqsim import (
     Constant,
     LinkParams,
     LqmSimulation,
     LtmSimulation,
+    Scenario,
     scenario_from_dict,
     sine_floor,
 )
-from pqsim.scenario import validate_model
-from point_runs import run_steps
+from pqsim.scenario import simulate_model, validate_model
+from link_runs import next_step_volumes, replay_link
+from point_runs import per_step, run_steps
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
 # storage = 150 veh, T1 = 1/60, T2 = 1/20, capacity = 2250 vph
@@ -99,20 +103,22 @@ class TestLqmStep:
 
 
 class TestLtmBoundary:
+    """Demand and supply volumes read off a copy stepped at unlimited delta and sigma."""
+
     def test_empty_link_has_no_demand(self):
         sim = LtmSimulation(STANDARD, 0.0, dt=0.01)
-        _, demand, _ = sim._volumes()
+        _, demand, _ = next_step_volumes(sim)
         assert demand == 0.0
 
     def test_empty_link_supply_is_capacity_limited(self):
         """Vacancy wave offers storage/T2 but the capacity storage/T3 binds."""
         sim = LtmSimulation(STANDARD, 0.0, dt=0.01)
-        _, _, supply = sim._volumes()
+        _, _, supply = next_step_volumes(sim)
         assert supply == pytest.approx(STANDARD.capacity * 0.01)
 
     def test_full_link_has_no_supply(self):
         sim = LtmSimulation(STANDARD, STANDARD.storage, dt=0.01)
-        _, _, supply = sim._volumes()
+        _, _, supply = next_step_volumes(sim)
         assert supply == pytest.approx(0.0)
 
     def test_three_step_hand_trace(self):
@@ -127,7 +133,7 @@ class TestLtmBoundary:
         assert (fin, fout) == (6.0, 0.0)
         # t = 0.01: delayed window [0.01 - T1, 0.02 - T1] straddles 0; the
         # seeded history is 0 and F(0.01) = 6 interpolates to 6 * (1/3) = 2.
-        _, demand, supply = sim._volumes()
+        _, demand, supply = next_step_volumes(sim)
         assert demand == pytest.approx(2.0)
         assert supply == pytest.approx(STANDARD.capacity * 0.01)
         fin, fout = sim.step(600, 1200)
@@ -136,7 +142,7 @@ class TestLtmBoundary:
         # t = 0.02: window [0.02 - T1, 0.03 - T1] = [1/300, 4/300]:
         # interp(F)(4/300) = 6 + (1/3)*6 = 8, interp(F)(1/300) = 2, queue =
         # F(1/300) - G(0.02) = 2 - 2 = 0, so demand = 8 - 2 + 0 = 6.
-        _, demand, _ = sim._volumes()
+        _, demand, _ = next_step_volumes(sim)
         assert demand == pytest.approx(6.0)
         fin, fout = sim.step(600, 1200)
         assert fout == pytest.approx(6.0)
@@ -149,17 +155,17 @@ class TestLtmBoundary:
             sim.step(4000 if i < 300 else 0, 500)
             assert sim.departures <= sim.arrivals + 1e-9
             assert sim.arrivals - sim.departures <= STANDARD.storage + 1e-9
-            queue, _, supply = sim._volumes()
+            queue, _, supply = next_step_volumes(sim)
             assert queue >= 0 and supply >= 0
 
     def test_initial_content_seeds_demand(self):
         """A preloaded link releases its initial content at rate content/T1."""
         sim = LtmSimulation(STANDARD, 60.0, dt=0.01)
-        _, demand, _ = sim._volumes()
+        _, demand, _ = next_step_volumes(sim)
         # 60 veh / T1 = 3600 vph exceeds capacity 2250, so capacity binds.
         assert demand == pytest.approx(STANDARD.capacity * 0.01)
         sim2 = LtmSimulation(STANDARD, 30.0, dt=0.01)
-        _, demand2, _ = sim2._volumes()
+        _, demand2, _ = next_step_volumes(sim2)
         assert demand2 == pytest.approx(30.0 / STANDARD.free_flow_time * 0.01)  # 1800 vph
 
 
@@ -179,13 +185,17 @@ class TestZeroLengthLimit:
             """The state after each step: the link runs below record after each step too."""
             return run_steps(model, demand, supply, dt, n, storage).queue[1:]
 
-        def run_link(cls, params, read):
+        def run_link(cls, params):
+            """The queue after each step: the one the next step starts from, and a probe's after the last.
+
+            That is F - G for the LQM and F(t - T1) - G(t) for the LTM.
+            """
             sim = cls(params, 0.0, dt)
             out = []
             for delta, sigma in rates:
                 sim.step(delta, sigma)
-                out.append(read(sim))
-            return out
+                out.append(sim.step_queue)
+            return out[1:] + [next_step_volumes(sim)[0]]
 
         pqm1 = run_point("pqm1")
         pqm2 = run_point("pqm2")
@@ -194,9 +204,43 @@ class TestZeroLengthLimit:
             lanes = storage / (length * 150.0)
             params = LinkParams(length, lanes, 60, 20, 150)
             assert dt <= min(params.free_flow_time, params.wave_time)
-            ltm = run_link(LtmSimulation, params, lambda sim: sim._volumes()[0])  # F(t - T1) - G(t)
-            lqm = run_link(LqmSimulation, params, lambda sim: sim.arrivals - sim.departures)
+            ltm = run_link(LtmSimulation, params)
+            lqm = run_link(LqmSimulation, params)
             gaps_ltm.append(max(abs(a - b) for a, b in zip(ltm, pqm1)))
             gaps_lqm.append(max(abs(a - b) for a, b in zip(lqm, pqm2)))
         assert gaps_ltm[0] > gaps_ltm[1] > gaps_ltm[2]
         assert gaps_lqm[0] > gaps_lqm[1] > gaps_lqm[2]
+
+
+LINK_RATE = st.sampled_from((0.0, 2250.0)) | st.floats(0.0, 5000.0)
+
+
+@st.composite
+def link_scenarios(draw):
+    """A random ltm or lqm run: often preloaded, and unsafe with dt past T1 (or T2) half the time."""
+    model = draw(st.sampled_from(("ltm", "lqm")))
+    params = LinkParams(
+        length=draw(st.floats(0.05, 2.0)),
+        lanes=draw(st.integers(1, 3)),
+        free_flow_speed=draw(st.floats(30.0, 120.0)),
+        wave_speed=draw(st.floats(10.0, 40.0)),
+        jam_density=draw(st.floats(100.0, 200.0)),
+    )
+    initial = draw(st.sampled_from((0.0, params.storage)) | st.floats(0.0, params.storage))
+    unsafe = draw(st.booleans())
+    if unsafe:  # past the step bound: the one-step-later reads look past the present
+        dt = draw(st.floats(1.01, 4.0)) * draw(st.sampled_from((params.free_flow_time, params.wave_time)))
+    else:
+        dt = draw(st.floats(0.05, 1.0)) * min(params.free_flow_time, params.wave_time)
+    rates = draw(st.lists(st.tuples(LINK_RATE, LINK_RATE), min_size=1, max_size=60))
+    demand, supply = per_step(rates, dt)
+    horizon = len(rates) * dt
+    return Scenario(model, demand, supply, dt, horizon, link=params, link_initial=initial, unsafe=unsafe)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=link_scenarios())
+def test_a_run_equals_its_one_step_replay(scenario):
+    """The whole-grid kernel run, by repr, against the wrappers stepped one pair at a time."""
+    (traj,) = simulate_model(scenario)
+    assert repr(traj) == repr(replay_link(scenario))

@@ -93,15 +93,17 @@ def test_convergence_computes_no_stats(monkeypatch):
     assert [row["dt"] for row in rows] == [0.01, 0.005] and all(row["max_distance"] > 0 for row in rows)
 
 
-def test_one_model_run_holds_rates_or_times_never_both():
+@pytest.mark.parametrize("path, model", [(RELAXED, "pqm1"), (LINK_SCENARIO, "ltm")], ids=["pqm1", "ltm"])
+def test_one_model_run_holds_rates_or_times_never_both(path, model):
     """The rate lists go when the loop ends, before the time column is built.
 
     What the run keeps is its six columns.  Past them, the peak holds one
     spare list of pointers (formulation A's float conversion of lambda),
     well under one column of new floats; a rate list still alive while the
-    time column is built would add a whole column of floats and more.
+    time column is built would add a whole column of floats and more.  The
+    LTM's F and G columns are its histories, so it holds no second copy.
     """
-    scenario = load_scenario(RELAXED).with_overrides(model="pqm1", horizon=0.5)
+    scenario = load_scenario(path).with_overrides(model=model, dt=1e-4, horizon=0.5)
     simulate_model(scenario)
     tracemalloc.start()
     try:
