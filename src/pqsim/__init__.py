@@ -31,7 +31,6 @@ from .profiles import (
     PiecewiseConstant,
     Profile,
     SineFloor,
-    profile_from_dict,
     sine_floor,
 )
 from .scenario import (
@@ -39,6 +38,7 @@ from .scenario import (
     Scenario,
     convergence_table,
     load_scenario,
+    profile_from_dict,
     run_scenario,
     scenario_from_dict,
     simulate_model,

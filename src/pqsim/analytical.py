@@ -170,8 +170,9 @@ def _stationary(model: PqModel, delta, sigma, capacity, eps) -> StationaryResult
     """The stationary state of ``model`` relaxed by eps > 0, or of the exact model at eps = 0."""
     if capacity is None or not 0 < capacity < math.inf:
         raise ValueError("stationary analysis requires a finite positive capacity")
-    if delta < 0 or sigma < 0:
-        raise ValueError("rates must be nonnegative")
+    for name, rate in (("delta", delta), ("sigma", sigma)):
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite (got {rate!r})")
     violated = _violated_bound(model, eps, (delta, ()), (sigma, ()), capacity, "eps") if eps else None
     if violated is not None:
         raise ValidationError(f"epsilon must satisfy {violated} (got {eps:g})")

@@ -38,7 +38,6 @@ __all__ = [
     "PiecewiseConstant",
     "SineFloor",
     "sine_floor",
-    "profile_from_dict",
 ]
 
 
@@ -229,20 +228,3 @@ def sine_floor(amplitude: float, floor: float) -> Profile:
     if amplitude <= floor:
         return Constant(floor)
     return SineFloor(amplitude, floor)
-
-
-def profile_from_dict(spec: dict) -> Profile:
-    """Build a profile from its tagged-record form used in scenario files."""
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ValueError(f"profile must be a tagged record with a 'type' field (got {spec!r})")
-    kind = spec["type"]
-    try:
-        if kind == "constant":
-            return Constant(float(spec["rate"]))
-        if kind == "piecewise_constant":
-            return PiecewiseConstant(tuple(spec["breakpoints"]), tuple(spec["rates"]))
-        if kind == "sine_floor":
-            return sine_floor(float(spec["amplitude"]), float(spec["floor"]))
-    except KeyError as missing:
-        raise ValueError(f"profile of type {kind!r} is missing field {missing.args[0]!r}") from None
-    raise ValueError(f"unknown profile type {kind!r}")

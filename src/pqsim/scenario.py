@@ -19,6 +19,10 @@ Model names: ``pqm1`` .. ``pqm4`` (exact point queues), ``eps-pqm1`` ..
 records ordered origin to destination).  Optional fields: ``formulation``
 ("A" queue-length state, "B" cumulative-flow state), ``epsilon``,
 ``unsafe`` (run despite violated admissibility bounds), ``output``.
+``_field`` reads every value; an error names the field's full path, such
+as ``queues[1].capacity``, ``supply.rates[0]`` or ``link.initial`` (in
+[0, storage]); numbers must be finite, not bools; unread keys are ignored.
+Profiles are ``{"type": ..., <its fields>}`` records (``_PROFILES``).
 ``MODELS`` is the one table of models: per name, the fields it needs, its
 admissibility check, its runner and, optionally, its report notes.  Every
 runner returns a list of trajectories: one for a point or link model, one
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import namedtuple
 from functools import partial
 from itertools import combinations, repeat
@@ -52,7 +57,7 @@ from .errors import ScenarioError, ValidationError
 from .links import LinkParams, QueueSpec
 from .network import TandemQueue, TandemSpec, step_tandem
 from .point_queue import Formulation, PqModel, _violated_bound
-from .profiles import profile_from_dict
+from .profiles import Constant, PiecewiseConstant, Profile, sine_floor
 from .trajectory import Trajectory, sup_distance
 
 __all__ = [
@@ -60,6 +65,7 @@ __all__ = [
     "RunReport",
     "load_scenario",
     "scenario_from_dict",
+    "profile_from_dict",
     "check_grid",
     "simulate_model",
     "run_scenario",
@@ -82,119 +88,113 @@ class Scenario(
         return self._replace(**{k: v for k, v in kwargs.items() if v is not None})
 
 
-def _reject_non_finite(value, source: str, path: str = "") -> None:
-    """Raise on any NaN or infinity in a parsed document, naming its field path."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ScenarioError(f"{source}: field '{path}' must be a finite number (got {value!r})")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _reject_non_finite(item, source, f"{path}.{key}" if path else key)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _reject_non_finite(item, source, f"{path}[{i}]")
+def _field(doc, name, kind, where: tuple, required: bool = True, default=None):
+    """Read ``doc[name]`` as ``kind``; every error names the file and the field's full path.
 
-
-def _field(doc: dict, name: str, kind, source: str, required: bool = True, default=None):
-    if name not in doc:
+    ``where`` is (source, path of ``doc``), such as ("s.json", "queues[1]");
+    an int ``name`` indexes a list.  Kinds: ``float``, a finite number and
+    not a bool; ``tuple``, a list of such numbers, returned as a tuple of
+    floats; any other type, checked with ``isinstance``.
+    """
+    source, path = where
+    full = f"{path}[{name}]" if isinstance(name, int) else f"{path}.{name}" if path else name
+    if isinstance(name, str) and name not in doc:
         if required:
-            raise ScenarioError(f"{source}: missing required field '{name}'")
+            raise ScenarioError(f"{source}: missing required field '{full}'")
         return default
     value = doc[name]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError(f"{source}: field '{name}' must be a number (got {value!r})")
-        return float(value)
+        # type(), not isinstance: a bool is an int.  The bound rejects NaN, infinity and ints past the floats.
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+        raise ScenarioError(f"{source}: field '{full}' must be a finite number (got {value!r})")
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ScenarioError(f"{source}: field '{full}' must be a list of numbers (got {value!r})")
+        return tuple(_field(value, i, float, (source, full)) for i in range(len(value)))
     if not isinstance(value, kind):
-        raise ScenarioError(f"{source}: field '{name}' must be a {kind.__name__} (got {value!r})")
+        raise ScenarioError(f"{source}: field '{full}' must be a {kind.__name__} (got {value!r})")
     return value
 
 
-def _queue_spec(doc: dict, source: str) -> QueueSpec:
-    cap = None if doc.get("capacity") is None else _field(doc, "capacity", float, source)
-    initial = _field(doc, "initial", float, source, required=False, default=0.0)
+def _build(make, where: tuple, *args):
+    """``make(*args)``; a ``ValueError`` it raises is re-raised naming the file and the section ``where``."""
     try:
-        return QueueSpec(capacity=cap, initial=initial)
+        return make(*args)
     except ValueError as exc:
-        raise ScenarioError(f"{source}: {exc}") from None
+        raise ScenarioError(f"{where[0]}: {where[1]}: {exc}") from None
 
 
-def _link_params(doc: dict, source: str) -> LinkParams:
-    try:
-        return LinkParams(*(_field(doc, name, float, source) for name in LinkParams._fields))
-    except ValueError as exc:
-        raise ScenarioError(f"{source}: link: {exc}") from None
+# Each profile type's constructor, and its fields with their kinds in argument order.
+_PROFILES = {
+    "constant": (Constant, (("rate", float),)),
+    "piecewise_constant": (PiecewiseConstant, (("breakpoints", tuple), ("rates", tuple))),
+    "sine_floor": (sine_floor, (("amplitude", float), ("floor", float))),
+}
+_PQ_NAMES = tuple(m.value for m in PqModel)  # a tandem member's models: the exact point queues
 
 
-def _pq_model(name: str, source: str) -> PqModel:
-    """A tandem member's model, one of the exact point queues."""
-    try:
-        return PqModel(name.lower())
-    except ValueError:
-        valid = ", ".join(m.value for m in PqModel)
-        raise ScenarioError(f"{source}: unknown point-queue model {name!r}; valid: {valid}") from None
+def _one_of(value: str, valid, what: str, where: tuple) -> str:
+    """``value`` if ``valid`` holds it; else an error naming the file, the section (if any) and the choices."""
+    if value not in valid:
+        raise ScenarioError(f"{': '.join(filter(None, where))}: unknown {what} {value!r}; valid: {', '.join(valid)}")
+    return value
+
+
+def profile_from_dict(spec: dict, where: tuple = ("<profile>", "profile")) -> Profile:
+    """Build a profile from its tagged-record form, ``{"type": ..., <its fields>}``; ``where`` as for ``_field``."""
+    source, path = where
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{source}: field '{path}' must be a dict (got {spec!r})")
+    make, fields = _PROFILES[_one_of(_field(spec, "type", str, where), _PROFILES, "profile type", where)]
+    return _build(make, where, *(_field(spec, name, of, where) for name, of in fields))
+
+
+def _queue_spec(doc: dict, where: tuple) -> QueueSpec:
+    """A point queue's storage; a missing or null capacity is unbounded."""
+    capacity = None if doc.get("capacity") is None else _field(doc, "capacity", float, where)
+    return _build(QueueSpec, where, capacity, _field(doc, "initial", float, where, required=False, default=0.0))
+
+
+def _check_link_initial(link: LinkParams, initial: float, source: str, error=ScenarioError) -> None:
+    """Raise ``error`` unless the link's initial content lies in [0, storage]; structural, so ``unsafe`` keeps it."""
+    if not 0 <= initial <= link.storage:
+        raise error(f"{source}: field 'link.initial' must lie in [0, {link.storage:g}] (got {initial:g})")
 
 
 def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{source}: scenario must be a JSON object")
-    _reject_non_finite(doc, source)
-    model = _field(doc, "model", str, source).lower()
-    if model not in MODEL_NAMES:
-        raise ScenarioError(f"{source}: unknown model {model!r}; valid: {', '.join(MODEL_NAMES)}")
-    try:
-        demand = profile_from_dict(_field(doc, "demand", dict, source))
-    except ValueError as exc:
-        raise ScenarioError(f"{source}: demand: {exc}") from None
-    try:
-        supply = profile_from_dict(_field(doc, "supply", dict, source))
-    except ValueError as exc:
-        raise ScenarioError(f"{source}: supply: {exc}") from None
-    dt = _field(doc, "dt", float, source)
-    horizon = _field(doc, "horizon", float, source)
-    queue = None
-    if "queue" in doc:
-        queue = _queue_spec(_field(doc, "queue", dict, source), f"{source}: queue")
-    link = None
-    link_initial = 0.0
+    top = (source, "")
+    model = _one_of(_field(doc, "model", str, top).lower(), MODEL_NAMES, "model", top)
+    demand = profile_from_dict(_field(doc, "demand", dict, top), (source, "demand"))
+    supply = profile_from_dict(_field(doc, "supply", dict, top), (source, "supply"))
+    dt, horizon = _field(doc, "dt", float, top), _field(doc, "horizon", float, top)
+    queue = _queue_spec(_field(doc, "queue", dict, top), (source, "queue")) if "queue" in doc else None
+    link, link_initial = None, 0.0
     if "link" in doc:
-        link_doc = _field(doc, "link", dict, source)
-        link = _link_params(link_doc, source)
-        link_initial = _field(link_doc, "initial", float, f"{source}: link", required=False, default=0.0)
+        link_doc, where = _field(doc, "link", dict, top), (source, "link")
+        link = _build(LinkParams, where, *(_field(link_doc, name, float, where) for name in LinkParams._fields))
+        link_initial = _field(link_doc, "initial", float, where, required=False, default=0.0)
+        _check_link_initial(link, link_initial, source)
     tandem = None
     if "queues" in doc:
-        entries = _field(doc, "queues", list, source)
-        queues = []
-        for i, entry in enumerate(entries):
-            where = f"{source}: queues[{i}]"
-            if not isinstance(entry, dict):
-                raise ScenarioError(f"{where}: must be an object")
-            spec = _queue_spec(entry, where)
-            member_model = _pq_model(_field(entry, "model", str, where, required=False, default="pqm1"), where)
-            queues.append(TandemQueue(spec=spec, model=member_model))
-        if not queues:
-            raise ScenarioError(f"{source}: 'queues' must list at least one queue")
-        tandem = TandemSpec(tuple(queues))
-    formulation_tag = _field(doc, "formulation", str, source, required=False, default="A").upper()
-    if formulation_tag not in ("A", "B"):
-        raise ScenarioError(f"{source}: formulation must be 'A' or 'B' (got {formulation_tag!r})")
-    epsilon = _field(doc, "epsilon", float, source, required=False)
-    unsafe = _field(doc, "unsafe", bool, source, required=False, default=False)
-    output = _field(doc, "output", str, source, required=False)
-    return Scenario(
-        model=model,
-        demand=demand,
-        supply=supply,
-        dt=dt,
-        horizon=horizon,
-        queue=queue,
-        link=link,
-        link_initial=link_initial,
-        tandem=tandem,
-        epsilon=epsilon,
-        formulation=Formulation(formulation_tag),
-        unsafe=unsafe,
-        output=output,
-        source=source,
+        entries, members = _field(doc, "queues", list, top), []
+        for i in range(len(entries)):
+            where = (source, f"queues[{i}]")
+            entry = _field(entries, i, dict, (source, "queues"))
+            name = _field(entry, "model", str, where, required=False, default="pqm1").lower()
+            variant = PqModel(_one_of(name, _PQ_NAMES, "point-queue model", where))
+            members.append(TandemQueue(_queue_spec(entry, where), variant))
+        tandem = _build(TandemSpec, (source, "queues"), members)
+    formulation = _field(doc, "formulation", str, top, required=False, default="A").upper()
+    formulation = Formulation(_one_of(formulation, ("A", "B"), "formulation", top))
+    epsilon = _field(doc, "epsilon", float, top, required=False)
+    unsafe = _field(doc, "unsafe", bool, top, required=False, default=False)
+    output = _field(doc, "output", str, top, required=False)
+    return Scenario(  # in the order of its fields
+        model, demand, supply, dt, horizon, queue, link, link_initial, tandem, epsilon, formulation, unsafe, output,
+        source,
     )
 
 
@@ -391,10 +391,6 @@ def _run_vickrey(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> lis
 def _run_link(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
     """One kernel call runs the grid, in floats only; the F and G columns are its histories less the final entry."""
     dt, link, initial = scenario.dt, scenario.link, scenario.link_initial
-    try:
-        link_models._check_start(link, initial, dt)
-    except ValueError as exc:
-        raise ValidationError(f"{scenario.source}: {exc}") from None
     arrs, deps = [initial], [0.0]
     # Looked up at run time, so a wrapper set on the module is seen.
     if name == "ltm":
@@ -494,6 +490,8 @@ def validate_model(scenario: Scenario, model_name: str) -> None:
     for need in spec.needs:
         if getattr(scenario, need) is None:
             raise ValidationError(f"{scenario.source}: model {name!r} needs {_NEEDS[need]}")
+    if "link" in spec.needs:
+        _check_link_initial(scenario.link, scenario.link_initial, scenario.source, ValidationError)
     if spec.check is not None and not scenario.unsafe:
         spec.check(scenario, name)
 

@@ -262,6 +262,21 @@ class TestStationaryRelaxed:
             with pytest.raises(ValueError, match="epsilon must be positive and finite|finite positive capacity"):
                 stationary_eps(model, 2000, 1200, capacity, eps)
 
+    @pytest.mark.parametrize(
+        "delta, sigma, name",
+        [(math.nan, 1200, "delta"), (math.inf, 1200, "delta"), (-1.0, 1200, "delta"),
+         (2000, math.nan, "sigma"), (2000, math.inf, "sigma"), (2000, -1.0, "sigma")],
+    )
+    def test_non_finite_or_negative_rate_rejected(self, delta, sigma, name):
+        """A NaN rate once gave flux = nan on [0, capacity]: both solvers name the bad rate instead."""
+        bad = delta if name == "delta" else sigma
+        message = f"{name} must be nonnegative and finite \\(got {bad!r}\\)"
+        with pytest.raises(ValueError, match=message):
+            stationary_exact(delta, sigma, 200.0)
+        for model in ALL_MODELS:
+            with pytest.raises(ValueError, match=message):
+                stationary_eps(model, delta, sigma, 200.0, 0.01)
+
     def test_pqm1_and_pqm2_admit_any_eps(self):
         """Far past capacity/max(delta, sigma) = 0.1 hr, eps-PQM1 and eps-PQM2 still have stationary states."""
         for eps in (0.2, 10.0):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pqsim import Constant, PiecewiseConstant, SineFloor, sine_floor
-from pqsim.profiles import profile_from_dict
+from pqsim import Constant, PiecewiseConstant, SineFloor, profile_from_dict, sine_floor
 
 
 def midpoint_quadrature(profile, t, n):

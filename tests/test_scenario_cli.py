@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
@@ -20,7 +21,7 @@ from pqsim import (
 )
 from pqsim import cli
 from pqsim.cli import main
-from pqsim.scenario import MAX_STEPS, check_grid, convergence_table
+from pqsim.scenario import MAX_STEPS, check_grid, convergence_table, validate_model
 
 BASE = {
     "model": "pqm2",
@@ -312,13 +313,93 @@ QUEUES = [{"capacity": None, "initial": 0}, {"capacity": 200, "initial": 0}]
         (dict(BASE, supply={"type": "piecewise_constant", "breakpoints": [0, 1], "rates": [1200, math.inf]}),
          "supply.rates[1]"),
         (dict(BASE, demand={"type": "sine_floor", "amplitude": math.inf, "floor": 1000}), "demand.amplitude"),
+        (dict(BASE, demand={"type": "constant", "rate": 10**400}), "demand.rate"),  # an int no float holds
     ],
 )
 def test_non_finite_numbers_rejected_with_field_named(tmp_path, capsys, doc, field):
-    """JSON NaN/Infinity fail at parse time with exit 2, never as a silent run or an internal error."""
+    """JSON NaN/Infinity and ints past the floats exit 2 at parse time, never as a run or an internal error."""
     scenario = make(tmp_path / "s.json", doc)
     assert main(["simulate", str(scenario)]) == 2
     assert f"field '{field}' must be a finite number" in capsys.readouterr().err
+
+
+# Every section and field a scenario can hold, in one valid document, and values of the wrong type for each
+# kind of field: true, "1", null, [1] and {}, with a value of another type in place of one the kind
+# admits ([1] is a list of numbers, "1" a str, true a bool; a null capacity means unbounded storage).
+FULL = dict(
+    BASE,
+    supply={"type": "piecewise_constant", "breakpoints": [0, 1], "rates": [1200, 1000]},
+    epsilon=0.02,
+    link=dict(LINK, initial=0),
+    queues=QUEUES,
+)
+NUMBER = (True, "1", None, [1], {})
+KINDS = {
+    "number": NUMBER,
+    "capacity": (True, "1", [1], {}),
+    "list": (True, "1", None, 1, {}),
+    "str": (True, 1, None, [1], {}),
+    "bool": ("1", 1, None, [1], {}),
+    "section": (True, "1", None, [1], 1),
+}
+FIELDS = {
+    "number": ("dt", "horizon", "epsilon", "queue.initial", "queues[1].initial",
+               *(f"link.{name}" for name in (*LINK, "initial")),
+               "demand.amplitude", "demand.floor", "supply.breakpoints[1]", "supply.rates[0]"),
+    "capacity": ("queue.capacity", "queues[1].capacity"),
+    "list": ("supply.breakpoints", "supply.rates", "queues"),
+    "str": ("model", "formulation", "output", "queues[0].model", "demand.type"),
+    "bool": ("unsafe",),
+    "section": ("demand", "supply", "queue", "link", "queues[1]"),
+}
+
+
+def _with(doc, path, value):
+    """A deep copy of ``doc`` with ``value`` at ``path``, such as ``queues[1].capacity``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = [int(key) if key.isdigit() else key for key in path.replace("[", ".").replace("]", "").split(".")]
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+def test_the_full_document_runs(tmp_path):
+    """The document the ill-typed cases start from is valid, so each case fails on its one field."""
+    assert main(["simulate", str(make(tmp_path / "s.json", FULL))]) == 0
+    assert main(["simulate", str(make(tmp_path / "s.json", dict(FULL, demand={"type": "constant", "rate": 1})))]) == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(field, value) for kind, fields in FIELDS.items() for field in fields for value in KINDS[kind]]
+    + [("demand.rate", value) for value in NUMBER],
+    ids=lambda item: item if isinstance(item, str) else json.dumps(item),
+)
+def test_ill_typed_fields_rejected_with_path_named(tmp_path, capsys, field, value):
+    """Each field read as a number, list, str, bool or section exits 2 naming its full path, never exit 1 or a run."""
+    doc = dict(FULL, demand={"type": "constant", "rate": 1000}) if field == "demand.rate" else FULL
+    scenario = make(tmp_path / "s.json", _with(doc, field, value))
+    assert main(["simulate", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{scenario}: field '{field}' must be a" in captured.err
+
+
+@pytest.mark.parametrize("model", ["ltm", "lqm"])
+@pytest.mark.parametrize("initial", [-1.0, 150.5, 1e6])
+def test_link_initial_outside_the_storage_rejected(tmp_path, capsys, model, initial):
+    """Storage is 150 veh: the content is rejected at parse and by validate_model, under unsafe too."""
+    doc = dict(BASE, model=model, dt=0.001, link=dict(LINK, initial=initial))
+    scenario = make(tmp_path / "s.json", doc)
+    message = f"field 'link.initial' must lie in [0, 150] (got {initial:g})"
+    assert main(["simulate", str(scenario), "--unsafe"]) == 2
+    assert f"{scenario}: {message}" in capsys.readouterr().err
+    built = scenario_from_dict(dict(doc, link=LINK), source="s.json")._replace(link_initial=initial)
+    for unsafe in (False, True):
+        with pytest.raises(ValidationError, match=re.escape(f"s.json: {message}")):
+            validate_model(built._replace(unsafe=unsafe), model)
+    validate_model(built._replace(link_initial=150.0), model)  # a full link is admissible
 
 
 class TestTandemThroughModels:
@@ -517,14 +598,15 @@ def test_exact_arithmetic_rejected_for_models_that_run_in_floats(path, model):
 
 @pytest.mark.parametrize(
     "model, problem",
-    [("eps-pqm2", "unknown point-queue model 'eps-pqm2'; valid: pqm1, pqm2, pqm3, pqm4"),
-     (5, "field 'model' must be a str (got 5)")],
+    [("eps-pqm2", "queues[0]: unknown point-queue model 'eps-pqm2'; valid: pqm1, pqm2, pqm3, pqm4"),
+     (5, "field 'queues[0].model' must be a str (got 5)")],
 )
 def test_tandem_members_must_be_exact_point_queues(tmp_path, capsys, model, problem):
     """A relaxed member would run as its exact model; a non-string one is rejected, not an internal error."""
     doc = dict(BASE, model="tandem", dt=0.001, queues=[dict(QUEUES[0], model=model), QUEUES[1]])
-    assert main(["simulate", str(make(tmp_path / "s.json", doc))]) == 2
-    assert f"queues[0]: {problem}" in capsys.readouterr().err
+    path = make(tmp_path / "s.json", doc)
+    assert main(["simulate", str(path)]) == 2
+    assert f"{path}: {problem}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
