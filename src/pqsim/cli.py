@@ -2,7 +2,9 @@
 
 Subcommands: ``simulate``, ``compare``, ``convergence``, ``vickrey``,
 ``stationary``, ``tandem``.  Exit codes: 0 on success, 2 on scenario or
-validation errors, 1 on unexpected runtime errors.
+validation errors, 1 on unexpected runtime errors.  Runs return their
+data; only ``_write`` writes a file, into ``--out-dir``, and nothing is
+written without that flag.
 """
 
 from __future__ import annotations
@@ -54,29 +56,32 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     )
 
 
-def _print_report(report: RunReport) -> None:
+def _write(out_dir: str | None, label: str, write, *args) -> None:
+    """Write ``<label>.csv`` into ``out_dir``, if set, with ``write(path, *args)`` and print its ``wrote`` line."""
+    if out_dir is not None:
+        print(f"wrote {label}: {write(Path(out_dir) / f'{label}.csv', *args)}")
+
+
+def _print_report(report: RunReport, out_dir: str | None) -> None:
     for line in report.summary_lines():
         print(line)
-    for label, path in report.csv_paths.items():
-        print(f"wrote {label}: {path}")
+    for label, traj in report.trajectories.items():
+        _write(out_dir, label, traj.write_csv)
 
 
 def _cmd_simulate(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     models = _model_list(args.models) if args.models else None
-    report = run_scenario(scenario, out_dir=args.out_dir, models=models)
-    _print_report(report)
+    _print_report(run_scenario(scenario, models=models), args.out_dir)
     return 0
 
 
 def _cmd_compare(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    report = run_scenario(scenario, out_dir=args.out_dir, models=_model_list(args.models))
-    _print_report(report)
-    if args.out_dir:
-        rows = [(a, b, d) for (a, b), d in report.distances.items()]
-        path = _write_table(Path(args.out_dir) / "comparison.csv", ("model_a", "model_b", "sup_distance"), rows)
-        print(f"wrote comparison: {path}")
+    report = run_scenario(scenario, models=_model_list(args.models))
+    _print_report(report, args.out_dir)
+    rows = ((a, b, d) for (a, b), d in report.distances.items())
+    _write(args.out_dir, "comparison", _write_table, ("model_a", "model_b", "sup_distance"), rows)
     return 0
 
 
@@ -86,10 +91,8 @@ def _cmd_convergence(args) -> int:
     print(f"{'dt':>12}  {'max pairwise sup distance':>26}")
     for row in rows:
         print(f"{row['dt']:>12g}  {row['max_distance']:>26.9g}")
-    if args.out_dir:
-        cells = [(row["dt"], row["max_distance"]) for row in rows]
-        path = _write_table(Path(args.out_dir) / "convergence.csv", ("dt", "max_distance"), cells)
-        print(f"wrote convergence: {path}")
+    cells = ((row["dt"], row["max_distance"]) for row in rows)
+    _write(args.out_dir, "convergence", _write_table, ("dt", "max_distance"), cells)
     return 0
 
 
@@ -104,9 +107,7 @@ def _cmd_vickrey(args) -> int:
     fluxes = [[(c[i + 1] - c[i]) / dt for i in range(n)] for c in cumulative]
     traj = Trajectory("vickrey_closed_form", dt, *columns, *fluxes)
     print(f"vickrey closed form: {traj.stats().describe()}")
-    if args.out_dir:
-        path = traj.write_csv(Path(args.out_dir) / "vickrey_closed_form.csv")
-        print(f"wrote vickrey_closed_form: {path}")
+    _write(args.out_dir, "vickrey_closed_form", traj.write_csv)
     return 0
 
 

@@ -133,14 +133,34 @@ def well_definedness_bound(model: PqModel, delta_max: float, sigma_max: float, c
     """Largest dt for which one step maps [0, capacity] into itself.
 
     That is capacity over the model's limiting rate (:func:`_limiting_rate`),
-    and infinite for PQM1, PQM2, unbounded storage or a zero limiting rate.
+    rounded down (:func:`_largest_step`), so the scenario checks admit it;
+    infinite for PQM1, PQM2, unbounded storage or a zero limiting rate.
     """
     if delta_max < 0 or sigma_max < 0:
         raise ValueError("rate bounds must be nonnegative")
     limit = _limiting_rate(model, delta_max, sigma_max)
     if capacity is None or limit is None or limit[1] == 0:
         return math.inf
-    return capacity / limit[1]
+    return _largest_step(capacity, limit[1])
+
+
+def _fits(value, rate, room) -> bool:
+    """Whether value * rate <= room, decided exactly; ``room`` is an integer ratio (numerator, denominator)."""
+    x, x_den = value.as_integer_ratio()
+    r, r_den = rate.as_integer_ratio()
+    return x * r * room[1] <= room[0] * x_den * r_den
+
+
+def _largest_step(capacity, rate):
+    """The largest value whose volume value * rate fits in ``capacity``: the quotient, rounded down.
+
+    The float quotient is correctly rounded, so it lies at most one step
+    past the largest; 0 for an infinite rate.
+    """
+    bound = capacity / rate
+    if 0 < bound < math.inf and not _fits(bound, rate, capacity.as_integer_ratio()):
+        bound = math.nextafter(bound, 0)
+    return bound
 
 
 def _violated_bound(model: PqModel, value, feed, service, capacity, var="dt"):
@@ -165,20 +185,12 @@ def _violated_bound(model: PqModel, value, feed, service, capacity, var="dt"):
         for h in held:
             h, h_den = h.as_integer_ratio()
             room, den = room * h_den - h * den, den * h_den
-        r, r_den = rate.as_integer_ratio()
-
-        def fits(x) -> bool:
-            x, x_den = x.as_integer_ratio()
-            return x * r * den <= room * x_den * r_den
-
-        if fits(value):
+        if _fits(value, rate, (room, den)):
             return None
     if held:
         side = "service" if name == "sigma_max" else "feed"
         terms = " + ".join([*map(repr, held), f"{var}*{name}"] if rate else map(repr, held))
         return f"the largest {side} volume {terms} <= capacity = {capacity!r} veh"
-    bound = capacity / rate  # 0 for an infinite rate, else correctly rounded: at most one step past the largest
-    if bound and not fits(bound):
-        bound = math.nextafter(bound, 0)
+    bound = _largest_step(capacity, rate)
     shown = f"{bound:.4g}"
     return f"{var} <= capacity/{name} = {shown if float(shown) < value else repr(bound)} hr"

@@ -18,7 +18,7 @@ Model names: ``pqm1`` .. ``pqm4`` (exact point queues), ``eps-pqm1`` ..
 ``queues``, a list of ``{"capacity": ..., "initial": ..., "model": ...}``
 records ordered origin to destination).  Optional fields: ``formulation``
 ("A" queue-length state, "B" cumulative-flow state), ``epsilon``,
-``unsafe`` (run despite violated admissibility bounds), ``output``.
+``unsafe`` (run despite violated admissibility bounds).
 ``_field`` reads every value; an error names the field's full path, such
 as ``queues[1].capacity``, ``supply.rates[0]`` or ``link.initial`` (in
 [0, storage]); numbers must be finite, not bools; unread keys are ignored.
@@ -76,11 +76,11 @@ __all__ = [
 class Scenario(
     namedtuple(
         "Scenario",
-        "model demand supply dt horizon queue link link_initial tandem epsilon formulation unsafe output source",
-        defaults=(None, None, 0.0, None, None, Formulation.QUEUE, False, None, "<scenario>"),
+        "model demand supply dt horizon queue link link_initial tandem epsilon formulation unsafe source",
+        defaults=(None, None, 0.0, None, None, Formulation.QUEUE, False, "<scenario>"),
     )
 ):
-    """A parsed scenario; ``queue``, ``link``, ``tandem``, ``epsilon`` and ``output`` are None when absent."""
+    """A parsed scenario; ``queue``, ``link``, ``tandem`` and ``epsilon`` are None when absent."""
 
     __slots__ = ()
 
@@ -134,10 +134,10 @@ _PROFILES = {
 _PQ_NAMES = tuple(m.value for m in PqModel)  # a tandem member's models: the exact point queues
 
 
-def _one_of(value: str, valid, what: str, where: tuple) -> str:
-    """``value`` if ``valid`` holds it; else an error naming the file, the section (if any) and the choices."""
+def _one_of(value: str, valid, what: str, where: tuple, error=ScenarioError) -> str:
+    """``value`` if ``valid`` holds it; else an ``error`` naming the file, the section (if any) and the choices."""
     if value not in valid:
-        raise ScenarioError(f"{': '.join(filter(None, where))}: unknown {what} {value!r}; valid: {', '.join(valid)}")
+        raise error(f"{': '.join(filter(None, where))}: unknown {what} {value!r}; valid: {', '.join(valid)}")
     return value
 
 
@@ -191,10 +191,8 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
     formulation = Formulation(_one_of(formulation, ("A", "B"), "formulation", top))
     epsilon = _field(doc, "epsilon", float, top, required=False)
     unsafe = _field(doc, "unsafe", bool, top, required=False, default=False)
-    output = _field(doc, "output", str, top, required=False)
     return Scenario(  # in the order of its fields
-        model, demand, supply, dt, horizon, queue, link, link_initial, tandem, epsilon, formulation, unsafe, output,
-        source,
+        model, demand, supply, dt, horizon, queue, link, link_initial, tandem, epsilon, formulation, unsafe, source
     )
 
 
@@ -208,6 +206,8 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # such as an integer literal past Python's digit limit
+        raise ScenarioError(f"{path}: {exc}") from None
     return scenario_from_dict(doc, source=str(path))
 
 
@@ -482,10 +482,8 @@ MODEL_NAMES = tuple(MODELS)
 
 def validate_model(scenario: Scenario, model_name: str) -> None:
     """Check the grid, the fields a model needs and, unless ``unsafe``, its admissibility bound."""
-    name = model_name.lower()
-    spec = MODELS.get(name)
-    if spec is None:
-        raise ValidationError(f"{scenario.source}: unknown model {model_name!r}")
+    name = _one_of(model_name.lower(), MODEL_NAMES, "model", (scenario.source, ""), ValidationError)
+    spec = MODELS[name]
     check_grid(scenario)
     for need in spec.needs:
         if getattr(scenario, need) is None:
@@ -526,21 +524,13 @@ def _run_models(scenario: Scenario, names: list[str], exact: bool = False) -> li
     return runs
 
 
-class RunReport:
-    """Everything a run produced: trajectories, stats, distances, notes, files.
+class RunReport(namedtuple("RunReport", "trajectories stats distances metadata")):
+    """Everything a run produced: trajectories, their stats, pairwise distances and the models' notes.
 
-    Dicts keyed by label (a pair of labels for ``distances``); the last three default to new empty dicts.
+    Dicts keyed by label (a pair of labels for ``distances``).
     """
 
-    __slots__ = ("trajectories", "stats", "distances", "metadata", "csv_paths")
-    __repr__ = Trajectory.__repr__  # both read the field names off __slots__
-    __eq__ = Trajectory.__eq__
-
-    def __init__(self, trajectories, stats, distances=None, metadata=None, csv_paths=None):
-        self.trajectories, self.stats = trajectories, stats
-        self.distances = {} if distances is None else distances
-        self.metadata = {} if metadata is None else metadata
-        self.csv_paths = {} if csv_paths is None else csv_paths
+    __slots__ = ()
 
     def summary_lines(self) -> list[str]:
         lines = [f"{label}: {st.describe()}" for label, st in self.stats.items()]
@@ -548,10 +538,8 @@ class RunReport:
         return lines + [f"{key}: {value}" for key, value in self.metadata.items()]
 
 
-def run_scenario(
-    scenario: Scenario | str | Path, out_dir: str | Path | None = None, models: list[str] | None = None, exact=False
-) -> RunReport:
-    """Run a scenario (every model in ``models``, or its own), write CSVs.
+def run_scenario(scenario: Scenario, models: list[str] | None = None, exact=False) -> RunReport:
+    """Run a scenario (every model in ``models``, or its own) and report it; it writes nothing.
 
     Trajectories are keyed by label: the model name, or ``queue1``..
     ``queueN`` for a tandem.  When more than one model is named, every
@@ -559,10 +547,6 @@ def run_scenario(
     tandem's conservation residual) go into the report metadata.  The
     models share one sampled grid; a model named twice raises.
     """
-    if not isinstance(scenario, Scenario):
-        scenario = load_scenario(scenario)
-    if out_dir is None and scenario.output is not None:
-        out_dir = scenario.output
     produced = _run_models(scenario, models or [scenario.model], exact)
     runs, metadata = [], {}
     for name, trajectories in produced:
@@ -572,22 +556,15 @@ def run_scenario(
             metadata.update(notes(scenario, trajectories))
     distances = {(a.label, b.label): sup_distance(a, b) for a, b in combinations(runs, 2)} if len(produced) > 1 else {}
     trajectories = {t.label: t for t in runs}
-    stats = {label: t.stats() for label, t in trajectories.items()}
-    report = RunReport(trajectories, stats, distances, metadata)
-    if out_dir is not None:
-        for label, traj in report.trajectories.items():
-            report.csv_paths[label] = traj.write_csv(Path(out_dir) / f"{label.replace('/', '_')}.csv")
-    return report
+    return RunReport(trajectories, {label: t.stats() for label, t in trajectories.items()}, distances, metadata)
 
 
-def convergence_table(scenario: Scenario | str | Path, models: list[str], dt_list: list[float]) -> list[dict]:
+def convergence_table(scenario: Scenario, models: list[str], dt_list: list[float]) -> list[dict]:
     """Max pairwise sup-norm distance between the models' trajectories for each step size.
 
     Needs at least two models; each step size samples one grid for all of
     them, and no trajectory stats are computed.
     """
-    if not isinstance(scenario, Scenario):
-        scenario = load_scenario(scenario)
     if len(models) < 2:
         got = ",".join(models)
         raise ValidationError(f"{scenario.source}: convergence compares at least two models (got --models {got!r})")

@@ -5,14 +5,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqsim import (
     Constant,
     Formulation,
     PqModel,
+    QueueSpec,
+    Scenario,
+    ValidationError,
     well_definedness_bound,
 )
 from pqsim.point_queue import _step_with_volumes
+from pqsim.scenario import validate_model
 from point_runs import per_step, run_steps
 
 ALL_MODELS = list(PqModel)
@@ -118,6 +124,26 @@ class TestWellDefinednessBound:
     def test_zero_rates(self):
         assert well_definedness_bound(PqModel.PQM3, 2000, 0, 200.0) == math.inf
         assert well_definedness_bound(PqModel.PQM4, 0, 1200, 200.0) == math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=st.sampled_from([PqModel.PQM3, PqModel.PQM4]),
+        delta=st.floats(1e-3, 1e5),
+        sigma=st.floats(1e-3, 1e5),
+        capacity=st.floats(1.0, 1e4),
+        relaxed=st.booleans(),
+    )
+    @example(PqModel.PQM3, 1000.0, 217.4046967242549, 10.0, False)  # capacity/sigma rounds one ulp up
+    def test_scenario_admits_the_bound_and_no_larger_step(self, model, delta, sigma, capacity, relaxed):
+        """The bound is the largest dt (eps, for a relaxed model) that ``validate_model`` admits."""
+        bound = well_definedness_bound(model, delta, sigma, capacity)
+        name = f"eps-{model.value}" if relaxed else model.value
+        scenario = Scenario(name, Constant(delta), Constant(sigma), bound, bound, QueueSpec(capacity), epsilon=bound)
+        validate_model(scenario, name)
+        past = math.nextafter(bound, math.inf)
+        over = scenario._replace(epsilon=past) if relaxed else scenario._replace(dt=past, horizon=past)
+        with pytest.raises(ValidationError, match=f"requires {'epsilon' if relaxed else 'dt'} <= capacity/"):
+            validate_model(over, name)
 
 
 def _random_rates(rng, n, high=3000.0):

@@ -149,8 +149,8 @@ class TestValidation:
 
 class TestRunScenario:
     def test_csv_columns_and_rows(self, tmp_path):
-        report = run_scenario(scenario_from_dict(dict(BASE)), out_dir=tmp_path)
-        path = report.csv_paths["pqm2"]
+        report = run_scenario(scenario_from_dict(dict(BASE)))
+        path = report.trajectories["pqm2"].write_csv(tmp_path / "pqm2.csv")
         header = path.read_text().splitlines()[0]
         assert header == "t,lambda,F,G,f,g"
         assert len(path.read_text().splitlines()) == 201  # header + 200 steps
@@ -160,20 +160,22 @@ class TestRunScenario:
         doc = dict(BASE, model="pqm1", horizon=0.01)
         doc["demand"] = {"type": "constant", "rate": 0}
         doc["queue"] = {"capacity": 200, "initial": 50}
-        report = run_scenario(scenario_from_dict(doc), out_dir=tmp_path)
-        rows = report.csv_paths["pqm1"].read_text().splitlines()
+        report = run_scenario(scenario_from_dict(doc))
+        rows = report.trajectories["pqm1"].write_csv(tmp_path / "pqm1.csv").read_text().splitlines()
         assert len(rows) == 2
         assert rows[1].startswith("0.0,50.0,")
 
     def test_stats_recomputable_from_csv(self, tmp_path):
-        report = run_scenario(scenario_from_dict(dict(BASE)), out_dir=tmp_path)
-        reloaded = Trajectory.from_csv(report.csv_paths["pqm2"])
+        report = run_scenario(scenario_from_dict(dict(BASE)))
+        reloaded = Trajectory.from_csv(report.trajectories["pqm2"].write_csv(tmp_path / "pqm2.csv"))
         assert reloaded.stats() == report.stats["pqm2"]
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
-        a = run_scenario(scenario_from_dict(dict(BASE)), out_dir=tmp_path / "a")
-        b = run_scenario(scenario_from_dict(dict(BASE)), out_dir=tmp_path / "b")
-        assert a.csv_paths["pqm2"].read_bytes() == b.csv_paths["pqm2"].read_bytes()
+        a, b = (
+            run_scenario(scenario_from_dict(dict(BASE))).trajectories["pqm2"].write_csv(tmp_path / name / "pqm2.csv")
+            for name in "ab"
+        )
+        assert a.read_bytes() == b.read_bytes()
 
     def test_compare_single_variant_zero_distance(self):
         report = run_scenario(scenario_from_dict(dict(BASE)), models=["pqm2"])
@@ -188,12 +190,12 @@ class TestRunScenario:
         rows = convergence_table(scenario_from_dict(dict(BASE)), ["pqm1", "pqm2"], [0.01, 0.001])
         assert rows[1]["max_distance"] < rows[0]["max_distance"]
 
-    def test_tandem_run_reports_conservation(self, tmp_path):
+    def test_tandem_run_reports_conservation(self):
         doc = dict(BASE, model="tandem", dt=0.001, queues=[
             {"capacity": None, "initial": 0, "model": "pqm1"},
             {"capacity": 200, "initial": 0, "model": "pqm1"},
         ])
-        report = run_scenario(scenario_from_dict(doc), out_dir=tmp_path)
+        report = run_scenario(scenario_from_dict(doc))
         assert report.metadata["max_conservation_residual"] <= 1e-9
         assert report.metadata["mixed_variant_tandem"] is False
         assert set(report.trajectories) == {"queue1", "queue2"}
@@ -348,7 +350,7 @@ FIELDS = {
                "demand.amplitude", "demand.floor", "supply.breakpoints[1]", "supply.rates[0]"),
     "capacity": ("queue.capacity", "queues[1].capacity"),
     "list": ("supply.breakpoints", "supply.rates", "queues"),
-    "str": ("model", "formulation", "output", "queues[0].model", "demand.type"),
+    "str": ("model", "formulation", "queues[0].model", "demand.type"),
     "bool": ("unsafe",),
     "section": ("demand", "supply", "queue", "link", "queues[1]"),
 }
@@ -703,3 +705,62 @@ def test_printed_bound_is_admissible_and_below_the_rejected_value(tmp_path, caps
     shown = capsys.readouterr().err.split("capacity/sigma_max = ")[1].split(" hr")[0]
     assert float(shown) < 0.1
     assert main(["simulate", scenario, "--dt", shown, "--horizon", repr(5 * float(shown))]) == 0
+
+
+TANDEM_DOC = dict(BASE, model="tandem", dt=0.001, queues=QUEUES)
+# Per command: its scenario, its arguments after the path, and the files it writes into --out-dir.
+WRITERS = {
+    "simulate": (BASE, [], {"pqm2.csv"}),
+    "tandem": (TANDEM_DOC, [], {"queue1.csv", "queue2.csv"}),
+    "compare": (BASE, ["--models", "pqm1,pqm2"], {"pqm1.csv", "pqm2.csv", "comparison.csv"}),
+    "convergence": (BASE, ["--models", "pqm1,pqm2", "--dt-list", "0.01,0.005"], {"convergence.csv"}),
+    "vickrey": (BASE, [], {"vickrey_closed_form.csv"}),
+}
+
+
+def _wrote(out: str) -> dict:
+    """The ``wrote <label>: <path>`` lines of a command's stdout, as {label: path}."""
+    return dict(line[len("wrote "):].split(": ", 1) for line in out.splitlines() if line.startswith("wrote "))
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_out_dir_holds_exactly_the_announced_files(tmp_path, capsys, command):
+    """Each file the command writes is announced as ``wrote <label>: <out-dir>/<label>.csv``, and no other."""
+    doc, extra, files = WRITERS[command]
+    out = tmp_path / "out"
+    assert main([command, str(make(tmp_path / "s.json", doc)), *extra, "--out-dir", str(out)]) == 0
+    wrote = _wrote(capsys.readouterr().out)
+    assert wrote == {name.removesuffix(".csv"): str(out / name) for name in files}
+    assert {path.name for path in out.iterdir()} == files
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_output_key_is_ignored(tmp_path, capsys, monkeypatch, command):
+    """An ``output`` key is an unread key: without --out-dir nothing is written, there or in the working directory."""
+    doc, extra, _ = WRITERS[command]
+    monkeypatch.chdir(tmp_path)
+    scenario = make(tmp_path / "s.json", dict(doc, output=str(tmp_path / "D")))
+    assert main([command, str(scenario), *extra]) == 0
+    assert _wrote(capsys.readouterr().out) == {}
+    assert [path.name for path in tmp_path.iterdir()] == ["s.json"]
+
+
+def test_unknown_model_worded_alike_from_the_flag_and_the_field(tmp_path, capsys):
+    """``--models foo`` and ``"model": "foo"`` both name the file and list the valid models."""
+    path = make(tmp_path / "s.json", BASE)
+    assert main(["simulate", str(path), "--models", "pqm1,foo"]) == 2
+    from_flag = capsys.readouterr().err
+    assert from_flag == f"error: {path}: unknown model 'foo'; valid: {', '.join(cli.MODELS)}\n"
+    assert main(["simulate", str(make(tmp_path / "s.json", dict(BASE, model="foo")))]) == 2
+    assert capsys.readouterr().err == from_flag
+
+
+def test_json_value_error_names_the_file(tmp_path, capsys):
+    """A 5001-digit integer is past Python's int-string limit, a ValueError json.loads raises: exit 2 naming the file."""
+    doc = dict(BASE, demand={"type": "sine_floor", "amplitude": 0, "floor": 1000})
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc).replace('"amplitude": 0', '"amplitude": 1' + "0" * 5000))
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: ")):
+        load_scenario(path)
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
