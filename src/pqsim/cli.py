@@ -2,9 +2,9 @@
 
 Subcommands: ``simulate``, ``compare``, ``convergence``, ``vickrey``,
 ``stationary``, ``tandem``.  Exit codes: 0 on success, 2 on scenario or
-validation errors, 1 on unexpected runtime errors.  Runs return their
-data; only ``_write`` writes a file, into ``--out-dir``, and nothing is
-written without that flag.
+validation errors and an ``--out-dir`` that cannot be written, 1 on
+unexpected runtime errors.  Runs return their data; only ``_write``
+writes a file, into ``--out-dir``, and nothing is written without that flag.
 """
 
 from __future__ import annotations
@@ -57,9 +57,16 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def _write(out_dir: str | None, label: str, write, *args) -> None:
-    """Write ``<label>.csv`` into ``out_dir``, if set, with ``write(path, *args)`` and print its ``wrote`` line."""
+    """Write ``<label>.csv`` into ``out_dir``, if set, with ``write(path, *args)`` and print its ``wrote`` line.
+
+    A directory that cannot be made or written is bad input: a ``ValidationError`` naming ``--out-dir``.
+    """
     if out_dir is not None:
-        print(f"wrote {label}: {write(Path(out_dir) / f'{label}.csv', *args)}")
+        try:
+            path = write(Path(out_dir) / f"{label}.csv", *args)
+        except OSError as exc:
+            raise ValidationError(f"--out-dir {out_dir!r}: cannot write {label}.csv: {exc}") from None
+        print(f"wrote {label}: {path}")
 
 
 def _print_report(report: RunReport, out_dir: str | None) -> None:

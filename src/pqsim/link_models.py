@@ -38,6 +38,9 @@ Each model's arithmetic is one kernel, ``_lqm_advance``/``_ltm_advance``,
 that runs any number of steps with F, G in locals and appends them after
 each step to the caller's lists: the histories, and a run's F and G columns
 less the final entry.  The ``*Simulation`` classes call it one step at a time.
+Within one call the LTM reuses a step's later reads as the next step's
+earlier reads when the arguments are ``==`` and the read was not past the
+present (dt = T1, or unsafe); it picks values, not operands: no result moves.
 """
 
 from __future__ import annotations
@@ -85,7 +88,9 @@ def _ltm_advance(params: LinkParams, initial: float, dt: float, arrivals: list, 
     """Step the LTM per (delta, sigma) of ``rates``; (queues F(t - T1) - G(t) at the step starts, inflow, outflow).
 
     F and G at t - T1 (t - T2) and one step later come from the histories
-    from t = 0 for s > 0 and the seed for s <= 0, each read once per step.
+    from t = 0 for s > 0 and the seed for s <= 0.  The read at t + dt - T1
+    serves as the next step's read at t' - T1 if the two arguments are ``==``
+    (``a_at``; G alike), unless it fell past the present (``j >= last``).
     """
     t1, t2, storage = params.free_flow_time, params.wave_time, params.storage
     seed_outflow = (storage - initial) / t2  # the slope of G's virtual seed
@@ -93,38 +98,51 @@ def _ltm_advance(params: LinkParams, initial: float, dt: float, arrivals: list, 
     f, g = arrivals[-1], departures[-1]
     last = len(arrivals) - 1  # index of F(t) and G(t) in the histories
     queues, inflows, outflows = [], [], []
+    a_at = d_at = float("nan")  # the arguments of the carried reads a_hi, d_hi; NaN equals none
     for delta, sigma in rates:
         t = last * dt
-        a_lo, a_hi = t - t1, t + dt - t1
+        a_lo = t - t1
         # F's seed: the inflow ramp ending at F(0) = initial content.
-        if a_lo <= 0:
+        if a_lo == a_at:
+            a_lo = a_hi
+        elif a_lo <= 0:
             seed = initial * (1.0 + a_lo / t1)
             a_lo = seed if seed > 0.0 else 0.0
         else:
             pos = a_lo / dt
             j = int(pos)
             a_lo = f if j >= last else arrivals[j] + (pos - j) * (arrivals[j + 1] - arrivals[j])
-        if a_hi <= 0:
-            seed = initial * (1.0 + a_hi / t1)
+        a_at = t + dt - t1
+        if a_at <= 0:
+            seed = initial * (1.0 + a_at / t1)
             a_hi = seed if seed > 0.0 else 0.0
         else:
-            pos = a_hi / dt
+            pos = a_at / dt
             j = int(pos)
-            a_hi = f if j >= last else arrivals[j] + (pos - j) * (arrivals[j + 1] - arrivals[j])
-        d_lo, d_hi = t - t2, t + dt - t2
+            if j >= last:
+                a_hi, a_at = f, float("nan")
+            else:
+                a_hi = arrivals[j] + (pos - j) * (arrivals[j + 1] - arrivals[j])
+        d_lo = t - t2
         # G's seed: negative values encode the pre-simulation ramp.
-        if d_lo <= 0:
+        if d_lo == d_at:
+            d_lo = d_hi
+        elif d_lo <= 0:
             d_lo = seed_outflow * d_lo
         else:
             pos = d_lo / dt
             j = int(pos)
             d_lo = g if j >= last else departures[j] + (pos - j) * (departures[j + 1] - departures[j])
-        if d_hi <= 0:
-            d_hi = seed_outflow * d_hi
+        d_at = t + dt - t2
+        if d_at <= 0:
+            d_hi = seed_outflow * d_at
         else:
-            pos = d_hi / dt
+            pos = d_at / dt
             j = int(pos)
-            d_hi = g if j >= last else departures[j] + (pos - j) * (departures[j + 1] - departures[j])
+            if j >= last:
+                d_hi, d_at = g, float("nan")
+            else:
+                d_hi = departures[j] + (pos - j) * (departures[j + 1] - departures[j])
         queue = a_lo - g
         queue = queue if queue > 0.0 else 0.0
         vacancy = d_lo + storage - f

@@ -51,6 +51,19 @@ def _check_step(dt: float) -> None:
         raise ValueError(f"grid step must be positive and finite (got dt = {dt})")
 
 
+def _number(name: str, value, what: str = "a number"):
+    """``value``, unless it is a str, bool or None: a Python caller's slip, which no comparison or ``float`` catches."""
+    if value is None or isinstance(value, (str, bool)):
+        raise ValueError(f"{name} must be {what} (got {value!r})")
+    return value
+
+
+def _floats(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; each entry checked by ``_number``, named ``name[i]``."""
+    values = _number(name, values, "a list of numbers")
+    return tuple(float(_number(f"{name}[{i}]", x)) for i, x in enumerate(values))
+
+
 class Profile:
     """Interface shared by all rate profiles."""
 
@@ -81,7 +94,7 @@ class Constant(namedtuple("Constant", "rate"), Profile):
     __slots__ = ()
 
     def __new__(cls, rate):
-        if rate < 0:
+        if _number("rate", rate) < 0:
             raise ValueError(f"rate must be nonnegative (got {rate})")
         return super().__new__(cls, rate)
 
@@ -106,12 +119,12 @@ class PiecewiseConstant(namedtuple("PiecewiseConstant", "breakpoints rates"), Pr
     """Step function: ``rates[i]`` applies on ``[breakpoints[i], breakpoints[i+1])``.
 
     ``breakpoints`` must start at 0 and be strictly increasing; the last
-    rate extends to infinity.  Both are stored as tuples of floats.
+    rate extends to infinity.  Both are stored as tuples of floats; a str,
+    bool or None entry is a ``ValueError`` naming it, not a coerced value.
     """
 
     def __new__(cls, breakpoints, rates):
-        bp = tuple(float(b) for b in breakpoints)
-        r = tuple(float(x) for x in rates)
+        bp, r = _floats("breakpoints", breakpoints), _floats("rates", rates)
         if len(bp) != len(r) or not bp:
             raise ValueError("breakpoints and rates must have equal, nonzero length")
         if bp[0] != 0.0:
@@ -170,7 +183,7 @@ class SineFloor(namedtuple("SineFloor", "amplitude floor"), Profile):
     __slots__ = ()
 
     def __new__(cls, amplitude, floor):
-        if not amplitude > floor >= 0:
+        if not _number("amplitude", amplitude) > _number("floor", floor) >= 0:
             raise ValueError(
                 "SineFloor requires amplitude > floor >= 0 "
                 f"(got amplitude={amplitude}, floor={floor}); "
@@ -223,8 +236,8 @@ def sine_floor(amplitude: float, floor: float) -> Profile:
     ``Constant(floor)`` and is returned as that variant, so the piecewise
     integral never has to handle an empty sinusoid segment.
     """
-    if floor < 0:
+    if _number("floor", floor) < 0:
         raise ValueError(f"floor must be nonnegative (got {floor})")
-    if amplitude <= floor:
+    if _number("amplitude", amplitude) <= floor:
         return Constant(floor)
     return SineFloor(amplitude, floor)

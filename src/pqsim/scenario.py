@@ -206,7 +206,7 @@ def load_scenario(path: str | Path) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # such as an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit; arrays nested too deep
         raise ScenarioError(f"{path}: {exc}") from None
     return scenario_from_dict(doc, source=str(path))
 

@@ -33,9 +33,10 @@ from pqsim import (
     step_tandem,
 )
 from pqsim.approx import _step_with_volumes as eps_step
+from pqsim.link_models import _ltm_advance
 from pqsim.point_queue import _step_with_volumes as exact_step
 from link_runs import next_step_volumes
-from reference import _ref_advance, _ref_demand_volume, _ref_eps_advance, _ref_supply_volume
+from reference import _ref_advance, _ref_demand_volume, _ref_eps_advance, _ref_ltm_advance, _ref_supply_volume
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
 # T1 = 1/60 hr, T2 = 1/20 hr, storage = 150 veh, capacity = 2250 vph
@@ -334,6 +335,48 @@ def test_ltm_step_matches_on_every_tie():
             queue, _ = _ref_queue_and_vacancy(sim)
             got = sim.step(delta, sigma)
             _same([*got, sim.step_queue], [min(delta * dt, supply), min(demand, sigma * dt), queue])
+
+
+@st.composite
+def ltm_runs(draw):
+    """A random link and run: dt at T1 or T2, a fraction of min(T1, T2) or past it; content 0, interior or full."""
+    params = LinkParams(
+        length=draw(st.floats(0.05, 2.0)),
+        lanes=draw(st.integers(1, 3)),
+        free_flow_speed=draw(st.floats(30.0, 120.0)),
+        wave_speed=draw(st.floats(10.0, 40.0)),
+        jam_density=draw(st.floats(100.0, 200.0)),
+    )
+    t1, t2 = params.free_flow_time, params.wave_time
+    short = min(t1, t2)
+    dt = draw(
+        st.sampled_from((t1, t2, short / 2, short / 3, short / 10))
+        | st.floats(0.02, 1.0).map(lambda x: x * short)
+        | st.floats(1.01, 4.0).map(lambda x: x * short)
+    )
+    initial = draw(st.sampled_from((0.0, params.storage)) | st.floats(0.0, params.storage))
+    rate = st.sampled_from((0.0, params.capacity)) | st.floats(0.0, 2.0).map(lambda x: x * params.capacity)
+    return params, initial, dt, draw(st.lists(st.tuples(rate, rate), min_size=1, max_size=150))
+
+
+def _hex(columns) -> list[list[str]]:
+    return [list(map(float.hex, column)) for column in columns]
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=ltm_runs())
+def test_ltm_kernel_matches_the_kernel_that_reads_every_time(run):
+    """Queue, inflow, outflow, F and G, bit for bit: one whole-grid call, and one call per rate pair (no carry)."""
+    params, initial, dt, rates = run
+    want_f, want_g = [initial], [0.0]
+    want = _hex([*_ref_ltm_advance(params, initial, dt, want_f, want_g, rates), want_f, want_g])
+    arrivals, departures = [initial], [0.0]
+    got = _ltm_advance(params, initial, dt, arrivals, departures, rates)
+    assert _hex([*got, arrivals, departures]) == want
+    arrivals, departures = [initial], [0.0]
+    steps = [_ltm_advance(params, initial, dt, arrivals, departures, (pair,)) for pair in rates]
+    columns = [[x for (x,) in column] for column in zip(*steps)]
+    assert _hex([*columns, arrivals, departures]) == want
 
 
 @st.composite

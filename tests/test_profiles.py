@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +69,33 @@ class TestPiecewiseConstant:
     def test_invalid_construction(self, breakpoints, rates):
         with pytest.raises(ValueError):
             PiecewiseConstant(breakpoints, rates)
+
+
+class TestPythonBuiltInputs:
+    """A str, bool or None where a number belongs is a ValueError naming the field, not a TypeError or a coercion."""
+
+    @pytest.mark.parametrize("bad", ["5", True, None])
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda x: Constant(x), "rate"),
+            (lambda x: PiecewiseConstant([0, 1], [5, x]), "rates[1]"),
+            (lambda x: PiecewiseConstant([x, 1], [5, 6]), "breakpoints[0]"),
+            (lambda x: PiecewiseConstant(x, [5]), "breakpoints"),
+            (lambda x: SineFloor(2000, x), "floor"),
+            (lambda x: sine_floor(x, 1000), "amplitude"),
+        ],
+    )
+    def test_rejected_with_the_field_named(self, build, field, bad):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be ")):
+            build(bad)
+
+    def test_numbers_build_as_before(self):
+        assert type(Constant(5).rate) is int
+        assert Constant(Fraction(1, 2)).rate == Fraction(1, 2)
+        assert PiecewiseConstant(range(2), np.array([5, 6])) == PiecewiseConstant((0.0, 1.0), (5.0, 6.0))
+        assert PiecewiseConstant([0, Fraction(1, 2)], [5, 6.5]).breakpoints == (0.0, 0.5)
+        assert sine_floor(2000, 1000) == SineFloor(2000, 1000)
 
 
 class TestSineFloor:

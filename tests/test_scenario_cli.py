@@ -764,3 +764,25 @@ def test_json_value_error_names_the_file(tmp_path, capsys):
         load_scenario(path)
     assert main(["simulate", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_unwritable_out_dir_exits_2_naming_the_flag(tmp_path, capsys, command):
+    """An --out-dir below a regular file cannot be made: exit 2 naming --out-dir, not an internal error."""
+    doc, extra, _ = WRITERS[command]
+    blocker = tmp_path / "F"
+    blocker.write_text("kept")
+    out = blocker / "x"
+    assert main([command, str(make(tmp_path / "s.json", doc)), *extra, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out-dir {str(out)!r}: cannot write ")
+    assert blocker.read_text() == "kept"
+
+
+def test_too_deeply_nested_json_names_the_file(tmp_path, capsys):
+    """100 000 nested arrays exhaust json.loads's recursion, a RecursionError: exit 2 naming the file."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: ")):
+        load_scenario(path)
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
