@@ -107,7 +107,9 @@ def _cmd_vickrey(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     check_grid(scenario)
     initial = scenario.queue.initial if scenario.queue is not None else 0.0
-    solution = vickrey_closed_form(scenario.demand, scenario.supply, scenario.dt, scenario.horizon, initial)
+    if initial != 0:  # vickrey_closed_form's own check names neither the file nor the field
+        raise ValidationError(f"{scenario.source}: the closed form needs field 'queue.initial' = 0 (got {initial:g})")
+    solution = vickrey_closed_form(scenario.demand, scenario.supply, scenario.dt, scenario.horizon)
     dt, n = solution.dt, len(solution.grid) - 1
     cumulative = (solution.arrivals, solution.departures)
     columns = [list(c[:n]) for c in (solution.grid, solution.queue, *cumulative)]

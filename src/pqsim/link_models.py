@@ -1,7 +1,8 @@
 """Discrete-time simulators for the two link-based queueing models.
 
 Both models track cumulative flows F (vehicles entered) and G (vehicles
-exited) with F(0) = initial content, G(0) = 0, and compute boundary fluxes
+exited) with F(0) = ``params.initial``, the content ``LinkParams`` checks
+in [0, storage], G(0) = 0, and compute boundary fluxes
 from demand/supply through the junction rule
 
     inflow  = min(delta, s),   outflow = min(d, sigma).
@@ -34,10 +35,11 @@ dt <= min(T1, T2), which scenario validation enforces, reads never look
 past the current time; under ``unsafe`` a read past the present returns
 the latest recorded value.
 
-Each model's arithmetic is one kernel, ``_lqm_advance``/``_ltm_advance``,
-that runs any number of steps with F, G in locals and appends them after
-each step to the caller's lists: the histories, and a run's F and G columns
-less the final entry.  The ``*Simulation`` classes call it one step at a time.
+Each model's arithmetic is one kernel, ``_lqm_advance``/``_ltm_advance``
+(params, dt, arrivals, departures, rates), that runs any number of steps
+with F, G in locals and appends them after each step to the caller's lists:
+the histories, and a run's F and G columns less the final entry.  The
+``*Simulation`` classes call it one step at a time.
 Within one call the LTM reuses a step's later reads as the next step's
 earlier reads when the arguments are ``==`` and the read was not past the
 present (dt = T1, or unsafe); it picks values, not operands: no result moves.
@@ -48,14 +50,6 @@ from __future__ import annotations
 from .links import LinkParams
 
 __all__ = ["LqmSimulation", "LtmSimulation"]
-
-
-def _check_start(params: LinkParams, initial_vehicles: float, dt: float) -> None:
-    """The structural checks only; the dt <= min(T1, T2) bound is the scenario's to enforce."""
-    if not 0 <= initial_vehicles <= params.storage:
-        raise ValueError(f"initial content must lie in [0, {params.storage}] (got {initial_vehicles})")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive (got {dt})")
 
 
 def _lqm_advance(params: LinkParams, dt: float, arrivals: list, departures: list, rates) -> tuple[list, list, list]:
@@ -84,7 +78,7 @@ def _lqm_advance(params: LinkParams, dt: float, arrivals: list, departures: list
     return queues, inflows, outflows
 
 
-def _ltm_advance(params: LinkParams, initial: float, dt: float, arrivals: list, departures: list, rates):
+def _ltm_advance(params: LinkParams, dt: float, arrivals: list, departures: list, rates) -> tuple[list, list, list]:
     """Step the LTM per (delta, sigma) of ``rates``; (queues F(t - T1) - G(t) at the step starts, inflow, outflow).
 
     F and G at t - T1 (t - T2) and one step later come from the histories
@@ -92,7 +86,7 @@ def _ltm_advance(params: LinkParams, initial: float, dt: float, arrivals: list, 
     serves as the next step's read at t' - T1 if the two arguments are ``==``
     (``a_at``; G alike), unless it fell past the present (``j >= last``).
     """
-    t1, t2, storage = params.free_flow_time, params.wave_time, params.storage
+    t1, t2, storage, initial = params.free_flow_time, params.wave_time, params.storage, params.initial
     seed_outflow = (storage - initial) / t2  # the slope of G's virtual seed
     cap_volume = params.capacity * dt
     f, g = arrivals[-1], departures[-1]
@@ -169,10 +163,11 @@ def _ltm_advance(params: LinkParams, initial: float, dt: float, arrivals: list, 
 class _LinkSimulation:
     """A link run stepped one pair at a time; ``step_queue`` is the queue the latest step started from."""
 
-    def __init__(self, params: LinkParams, initial_vehicles: float, dt: float):
-        _check_start(params, initial_vehicles, dt)
-        self.params, self.initial_vehicles, self.dt = params, initial_vehicles, dt
-        self._arrivals, self._departures, self.step_queue = [initial_vehicles], [0.0], None  # F, G from t = 0
+    def __init__(self, params: LinkParams, dt: float):
+        if not dt > 0:  # the dt <= min(T1, T2) bound is the scenario's to enforce
+            raise ValueError(f"dt must be positive (got {dt})")
+        self.params, self.dt = params, dt
+        self._arrivals, self._departures, self.step_queue = [params.initial], [0.0], None  # F, G from t = 0
 
     arrivals = property(lambda self: self._arrivals[-1], doc="F(t), the last entry of the history.")
     departures = property(lambda self: self._departures[-1], doc="G(t), the last entry of the history.")
@@ -193,6 +188,6 @@ class LtmSimulation(_LinkSimulation):
 
     def step(self, delta: float, sigma: float) -> tuple[float, float]:
         """Advance one step; returns (inflow, outflow) volumes [veh]."""
-        args = (self.params, self.initial_vehicles, self.dt, self._arrivals, self._departures, ((delta, sigma),))
+        args = (self.params, self.dt, self._arrivals, self._departures, ((delta, sigma),))
         (self.step_queue,), (inflow,), (outflow,) = _ltm_advance(*args)
         return inflow, outflow

@@ -13,6 +13,9 @@ with free-flow speed V [mph], backward wave speed W [mph], jam density K
     storage  = N * L * K  maximum vehicle content [veh]
     capacity = storage / T3 = N * U * K   [veh/hr]
 
+``initial`` is a link's uniform content at t = 0 [veh], F(0) of both link
+models; ``LinkParams`` checks it once, in [0, storage].  NaN fails every check.
+
 Units are hours, miles and vehicles throughout; there is no conversion
 layer.  ``T3`` is defined as ``T1 + T2`` so the identity holds exactly in
 floating point.
@@ -26,18 +29,20 @@ from functools import cached_property
 __all__ = ["LinkParams", "QueueSpec"]
 
 
-class LinkParams(namedtuple("LinkParams", "length lanes free_flow_speed wave_speed jam_density")):
-    """Length [mi], lanes (fractional to match a storage), V and W [mph], jam density [veh/mi/lane]."""
+class LinkParams(namedtuple("LinkParams", "length lanes free_flow_speed wave_speed jam_density initial")):
+    """Length [mi], lanes (fractional to match a storage), V and W [mph], jam density [veh/mi/lane], initial [veh]."""
 
-    def __new__(cls, length, lanes, free_flow_speed, wave_speed, jam_density):
-        self = super().__new__(cls, length, lanes, free_flow_speed, wave_speed, jam_density)
-        for name, value in zip(cls._fields, self):
-            if value <= 0:
+    def __new__(cls, length, lanes, free_flow_speed, wave_speed, jam_density, initial=0.0):
+        self = super().__new__(cls, length, lanes, free_flow_speed, wave_speed, jam_density, initial)
+        for name, value in zip(cls._fields, self[:5]):
+            if not value > 0:  # NaN fails too
                 raise ValueError(f"{name} must be strictly positive (got {value})")
+        if not 0 <= initial <= self.storage:
+            raise ValueError(f"initial must lie in [0, {self.storage:g}] (got {initial:g})")
         return self
 
     # Computed on first read and kept in the instance __dict__, outside the tuple,
-    # so equality, hashing and the fields see only the five inputs.
+    # so equality, hashing and the fields see only the six inputs.
     @cached_property
     def free_flow_time(self) -> float:
         """T1 = L/V [hr]."""
@@ -75,9 +80,9 @@ class QueueSpec(namedtuple("QueueSpec", "capacity initial", defaults=(0.0,))):
     __slots__ = ()
 
     def __new__(cls, capacity, initial=0.0):
-        if capacity is not None and capacity <= 0:
+        if capacity is not None and not capacity > 0:  # NaN fails these checks too
             raise ValueError(f"capacity must be positive or None (got {capacity})")
-        if initial < 0:
+        if not initial >= 0:
             raise ValueError(f"initial content must be nonnegative (got {initial})")
         if capacity is not None and initial > capacity:
             raise ValueError(f"initial content {initial} exceeds capacity {capacity}")

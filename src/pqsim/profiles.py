@@ -94,7 +94,7 @@ class Constant(namedtuple("Constant", "rate"), Profile):
     __slots__ = ()
 
     def __new__(cls, rate):
-        if _number("rate", rate) < 0:
+        if not _number("rate", rate) >= 0:  # NaN fails too
             raise ValueError(f"rate must be nonnegative (got {rate})")
         return super().__new__(cls, rate)
 
@@ -129,9 +129,9 @@ class PiecewiseConstant(namedtuple("PiecewiseConstant", "breakpoints rates"), Pr
             raise ValueError("breakpoints and rates must have equal, nonzero length")
         if bp[0] != 0.0:
             raise ValueError(f"first breakpoint must be 0 (got {bp[0]})")
-        if any(b2 <= b1 for b1, b2 in zip(bp, bp[1:])):
+        if any(not b2 > b1 for b1, b2 in zip(bp, bp[1:])):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(x < 0 for x in r):
+        if any(not x >= 0 for x in r):
             raise ValueError("rates must be nonnegative")
         return super().__new__(cls, bp, r)
 
@@ -236,7 +236,7 @@ def sine_floor(amplitude: float, floor: float) -> Profile:
     ``Constant(floor)`` and is returned as that variant, so the piecewise
     integral never has to handle an empty sinusoid segment.
     """
-    if _number("floor", floor) < 0:
+    if not _number("floor", floor) >= 0:
         raise ValueError(f"floor must be nonnegative (got {floor})")
     if _number("amplitude", amplitude) <= floor:
         return Constant(floor)

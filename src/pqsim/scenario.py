@@ -20,8 +20,9 @@ records ordered origin to destination).  Optional fields: ``formulation``
 ("A" queue-length state, "B" cumulative-flow state), ``epsilon``,
 ``unsafe`` (run despite violated admissibility bounds).
 ``_field`` reads every value; an error names the field's full path, such
-as ``queues[1].capacity``, ``supply.rates[0]`` or ``link.initial`` (in
-[0, storage]); numbers must be finite, not bools; unread keys are ignored.
+as ``queues[1].capacity``, with the bad value shortened by ``reprlib``;
+numbers must be finite, not bools; unread keys are ignored.  The records
+check ranges: ``LinkParams`` holds ``link.initial`` in [0, storage].
 Profiles are ``{"type": ..., <its fields>}`` records (``_PROFILES``).
 ``MODELS`` is the one table of models: per name, the fields it needs, its
 admissibility check, its runner and, optionally, its report notes.  Every
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 from collections import namedtuple
 from functools import partial
@@ -76,8 +78,8 @@ __all__ = [
 class Scenario(
     namedtuple(
         "Scenario",
-        "model demand supply dt horizon queue link link_initial tandem epsilon formulation unsafe source",
-        defaults=(None, None, 0.0, None, None, Formulation.QUEUE, False, "<scenario>"),
+        "model demand supply dt horizon queue link tandem epsilon formulation unsafe source",
+        defaults=(None, None, None, None, Formulation.QUEUE, False, "<scenario>"),
     )
 ):
     """A parsed scenario; ``queue``, ``link``, ``tandem`` and ``epsilon`` are None when absent."""
@@ -107,13 +109,13 @@ def _field(doc, name, kind, where: tuple, required: bool = True, default=None):
         # type(), not isinstance: a bool is an int.  The bound rejects NaN, infinity and ints past the floats.
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return float(value)
-        raise ScenarioError(f"{source}: field '{full}' must be a finite number (got {value!r})")
+        raise ScenarioError(f"{source}: field '{full}' must be a finite number (got {reprlib.repr(value)})")
     if kind is tuple:
         if not isinstance(value, (list, tuple)):
-            raise ScenarioError(f"{source}: field '{full}' must be a list of numbers (got {value!r})")
+            raise ScenarioError(f"{source}: field '{full}' must be a list of numbers (got {reprlib.repr(value)})")
         return tuple(_field(value, i, float, (source, full)) for i in range(len(value)))
     if not isinstance(value, kind):
-        raise ScenarioError(f"{source}: field '{full}' must be a {kind.__name__} (got {value!r})")
+        raise ScenarioError(f"{source}: field '{full}' must be a {kind.__name__} (got {reprlib.repr(value)})")
     return value
 
 
@@ -137,7 +139,8 @@ _PQ_NAMES = tuple(m.value for m in PqModel)  # a tandem member's models: the exa
 def _one_of(value: str, valid, what: str, where: tuple, error=ScenarioError) -> str:
     """``value`` if ``valid`` holds it; else an ``error`` naming the file, the section (if any) and the choices."""
     if value not in valid:
-        raise error(f"{': '.join(filter(None, where))}: unknown {what} {value!r}; valid: {', '.join(valid)}")
+        prefix = ": ".join(filter(None, where))
+        raise error(f"{prefix}: unknown {what} {reprlib.repr(value)}; valid: {', '.join(valid)}")
     return value
 
 
@@ -145,7 +148,7 @@ def profile_from_dict(spec: dict, where: tuple = ("<profile>", "profile")) -> Pr
     """Build a profile from its tagged-record form, ``{"type": ..., <its fields>}``; ``where`` as for ``_field``."""
     source, path = where
     if not isinstance(spec, dict):
-        raise ScenarioError(f"{source}: field '{path}' must be a dict (got {spec!r})")
+        raise ScenarioError(f"{source}: field '{path}' must be a dict (got {reprlib.repr(spec)})")
     make, fields = _PROFILES[_one_of(_field(spec, "type", str, where), _PROFILES, "profile type", where)]
     return _build(make, where, *(_field(spec, name, of, where) for name, of in fields))
 
@@ -154,12 +157,6 @@ def _queue_spec(doc: dict, where: tuple) -> QueueSpec:
     """A point queue's storage; a missing or null capacity is unbounded."""
     capacity = None if doc.get("capacity") is None else _field(doc, "capacity", float, where)
     return _build(QueueSpec, where, capacity, _field(doc, "initial", float, where, required=False, default=0.0))
-
-
-def _check_link_initial(link: LinkParams, initial: float, source: str, error=ScenarioError) -> None:
-    """Raise ``error`` unless the link's initial content lies in [0, storage]; structural, so ``unsafe`` keeps it."""
-    if not 0 <= initial <= link.storage:
-        raise error(f"{source}: field 'link.initial' must lie in [0, {link.storage:g}] (got {initial:g})")
 
 
 def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
@@ -171,12 +168,11 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
     supply = profile_from_dict(_field(doc, "supply", dict, top), (source, "supply"))
     dt, horizon = _field(doc, "dt", float, top), _field(doc, "horizon", float, top)
     queue = _queue_spec(_field(doc, "queue", dict, top), (source, "queue")) if "queue" in doc else None
-    link, link_initial = None, 0.0
+    link = None
     if "link" in doc:
         link_doc, where = _field(doc, "link", dict, top), (source, "link")
-        link = _build(LinkParams, where, *(_field(link_doc, name, float, where) for name in LinkParams._fields))
-        link_initial = _field(link_doc, "initial", float, where, required=False, default=0.0)
-        _check_link_initial(link, link_initial, source)
+        values = (_field(link_doc, name, float, where, name != "initial", 0.0) for name in LinkParams._fields)
+        link = _build(LinkParams, where, *values)
     tandem = None
     if "queues" in doc:
         entries, members = _field(doc, "queues", list, top), []
@@ -192,7 +188,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
     epsilon = _field(doc, "epsilon", float, top, required=False)
     unsafe = _field(doc, "unsafe", bool, top, required=False, default=False)
     return Scenario(  # in the order of its fields
-        model, demand, supply, dt, horizon, queue, link, link_initial, tandem, epsilon, formulation, unsafe, source
+        model, demand, supply, dt, horizon, queue, link, tandem, epsilon, formulation, unsafe, source
     )
 
 
@@ -390,13 +386,11 @@ def _run_vickrey(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> lis
 
 def _run_link(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
     """One kernel call runs the grid, in floats only; the F and G columns are its histories less the final entry."""
-    dt, link, initial = scenario.dt, scenario.link, scenario.link_initial
-    arrs, deps = [initial], [0.0]
+    dt, link = scenario.dt, scenario.link
+    arrs, deps = [link.initial], [0.0]
     # Looked up at run time, so a wrapper set on the module is seen.
-    if name == "ltm":
-        queues, fin, fout = link_models._ltm_advance(link, initial, dt, arrs, deps, grid.rates())
-    else:
-        queues, fin, fout = link_models._lqm_advance(link, dt, arrs, deps, grid.rates())
+    advance = link_models._ltm_advance if name == "ltm" else link_models._lqm_advance
+    queues, fin, fout = advance(link, dt, arrs, deps, grid.rates())
     del arrs[-1], deps[-1]
     # Volumes to rates before the time column exists, so the peak holds one spare column at most.
     fin = list(map(truediv, fin, repeat(dt)))
@@ -488,8 +482,6 @@ def validate_model(scenario: Scenario, model_name: str) -> None:
     for need in spec.needs:
         if getattr(scenario, need) is None:
             raise ValidationError(f"{scenario.source}: model {name!r} needs {_NEEDS[need]}")
-    if "link" in spec.needs:
-        _check_link_initial(scenario.link, scenario.link_initial, scenario.source, ValidationError)
     if spec.check is not None and not scenario.unsafe:
         spec.check(scenario, name)
 

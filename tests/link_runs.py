@@ -1,9 +1,14 @@
-"""Link-model helpers for tests: the next step's volumes, and a run replayed one wrapper step at a time."""
+"""Link-model helpers for tests: a loaded link, the next step's volumes, and a run replayed one step at a time."""
 
 import copy
 import math
 
-from pqsim import LqmSimulation, LtmSimulation, Trajectory
+from pqsim import LinkParams, LqmSimulation, LtmSimulation, Trajectory
+
+
+def loaded(params: LinkParams, initial: float) -> LinkParams:
+    """``params`` holding the initial content ``initial``, checked by the constructor (``_replace`` skips it)."""
+    return LinkParams(*params[:5], initial)
 
 
 def next_step_volumes(sim) -> tuple[float, float, float]:
@@ -25,7 +30,7 @@ def replay_link(scenario) -> Trajectory:
     """
     sim_cls = LtmSimulation if scenario.model == "ltm" else LqmSimulation
     dt = scenario.dt
-    sim = sim_cls(scenario.link, scenario.link_initial, dt)
+    sim = sim_cls(scenario.link, dt)
     columns = ([], [], [], [], [], [])  # t, lambda, F, G, f, g
     for i in range(round(scenario.horizon / dt)):
         t = i * dt

@@ -62,13 +62,13 @@ def _ref_eps_advance(model, lam, feed, service, capacity, ratio, clamp):
     return lam_next, inflow, outflow
 
 
-def _ref_ltm_advance(params, initial, dt, arrivals, departures, rates):
+def _ref_ltm_advance(params, dt, arrivals, departures, rates):
     """``pqsim.link_models._ltm_advance`` before it carried reads over: all four delayed reads every step.
 
     F and G at t - T1 (t - T2) and one step later come from the histories
     from t = 0 for s > 0 and the seed for s <= 0.
     """
-    t1, t2, storage = params.free_flow_time, params.wave_time, params.storage
+    t1, t2, storage, initial = params.free_flow_time, params.wave_time, params.storage, params.initial
     seed_outflow = (storage - initial) / t2  # the slope of G's virtual seed
     cap_volume = params.capacity * dt
     f, g = arrivals[-1], departures[-1]

@@ -35,7 +35,7 @@ from pqsim import (
 from pqsim.approx import _step_with_volumes as eps_step
 from pqsim.link_models import _ltm_advance
 from pqsim.point_queue import _step_with_volumes as exact_step
-from link_runs import next_step_volumes
+from link_runs import loaded, next_step_volumes
 from reference import _ref_advance, _ref_demand_volume, _ref_eps_advance, _ref_ltm_advance, _ref_supply_volume
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
@@ -78,14 +78,14 @@ def _ref_interp(sim: LtmSimulation, series: list[float], s: float) -> float:
 def _ref_arrivals_at(sim: LtmSimulation, s: float) -> float:
     """F(s): the inflow ramp seed for s <= 0, else the interpolated history."""
     if s <= 0:
-        return max(0.0, sim.initial_vehicles * (1.0 + s / sim.params.free_flow_time))
+        return max(0.0, sim.params.initial * (1.0 + s / sim.params.free_flow_time))
     return _ref_interp(sim, sim._arrivals, s)
 
 
 def _ref_departures_at(sim: LtmSimulation, s: float) -> float:
     """G(s): the outflow ramp seed (negative) for s <= 0, else the interpolated history."""
     if s <= 0:
-        return (sim.params.storage - sim.initial_vehicles) / sim.params.wave_time * s
+        return (sim.params.storage - sim.params.initial) / sim.params.wave_time * s
     return _ref_interp(sim, sim._departures, s)
 
 
@@ -113,7 +113,7 @@ def _reference_volumes(sim: LtmSimulation) -> tuple[float, float]:
 
 def test_ltm_volumes_equal_the_reference_formula_at_every_step():
     """A congested run from nonzero content, so the virtual-seed history is read for the first steps."""
-    sim = LtmSimulation(STANDARD, 75.0, dt=0.005)
+    sim = LtmSimulation(loaded(STANDARD, 75.0), dt=0.005)
     seeded = queued = full = 0
     for i in range(600):
         queue, vacancy = _ref_queue_and_vacancy(sim)
@@ -141,7 +141,7 @@ def test_link_params_cache_is_invisible_to_eq_hash_and_fields():
     assert used.capacity == 2250 and used.storage == 150
     fresh = LinkParams(**STANDARD._asdict())
     assert used == fresh and hash(used) == hash(fresh) and used._asdict() == fresh._asdict()
-    assert list(used._fields) == ["length", "lanes", "free_flow_speed", "wave_speed", "jam_density"]
+    assert list(used._fields) == ["length", "lanes", "free_flow_speed", "wave_speed", "jam_density", "initial"]
     with pytest.raises(AttributeError):
         used.length = 2.0
 
@@ -306,7 +306,7 @@ LINK_RATE = st.sampled_from((0.0, 2250.0, 4000.0)) | st.floats(0.0, 5000.0)
     rates=st.lists(st.tuples(LINK_RATE, LINK_RATE), min_size=1, max_size=40),
 )
 def test_lqm_step_matches_the_min_max_form(initial, dt, rates):
-    sim = LqmSimulation(STANDARD, initial, dt)
+    sim = LqmSimulation(loaded(STANDARD, initial), dt)
     arrivals, departures = initial, 0.0
     for delta, sigma in rates:
         content = sim.arrivals - sim.departures
@@ -319,7 +319,7 @@ def test_lqm_step_matches_on_every_tie():
     """Empty and full links against zero and capacity-level rates of either sign."""
     rates = (0.0, -0.0, 0, STANDARD.capacity, 2250)
     for initial, delta, sigma in product((0.0, -0.0, 75.0, STANDARD.storage), rates, rates):
-        sim = LqmSimulation(STANDARD, initial, 0.01)
+        sim = LqmSimulation(loaded(STANDARD, initial), 0.01)
         got = sim.step(delta, sigma)
         *_, inflow, outflow = _ref_lqm_step(initial, 0.0, STANDARD, 0.01, delta, sigma)
         _same(got, (inflow, outflow))
@@ -329,7 +329,7 @@ def test_ltm_step_matches_on_every_tie():
     """Empty and full links against zero rates of either sign, within and past dt <= T1."""
     rates = (0.0, -0.0, 0, 2250.0)
     for dt, initial, delta, sigma in product((0.005, 0.05), (0.0, -0.0, 75.0, STANDARD.storage), rates, rates):
-        sim = LtmSimulation(STANDARD, initial, dt)
+        sim = LtmSimulation(loaded(STANDARD, initial), dt)
         for _ in range(4):
             demand, supply = _reference_volumes(sim)
             queue, _ = _ref_queue_and_vacancy(sim)
@@ -340,13 +340,15 @@ def test_ltm_step_matches_on_every_tie():
 @st.composite
 def ltm_runs(draw):
     """A random link and run: dt at T1 or T2, a fraction of min(T1, T2) or past it; content 0, interior or full."""
-    params = LinkParams(
+    link = LinkParams(
         length=draw(st.floats(0.05, 2.0)),
         lanes=draw(st.integers(1, 3)),
         free_flow_speed=draw(st.floats(30.0, 120.0)),
         wave_speed=draw(st.floats(10.0, 40.0)),
         jam_density=draw(st.floats(100.0, 200.0)),
     )
+    initial = draw(st.sampled_from((0.0, link.storage)) | st.floats(0.0, link.storage))
+    params = LinkParams(*link[:5], initial)
     t1, t2 = params.free_flow_time, params.wave_time
     short = min(t1, t2)
     dt = draw(
@@ -354,9 +356,8 @@ def ltm_runs(draw):
         | st.floats(0.02, 1.0).map(lambda x: x * short)
         | st.floats(1.01, 4.0).map(lambda x: x * short)
     )
-    initial = draw(st.sampled_from((0.0, params.storage)) | st.floats(0.0, params.storage))
     rate = st.sampled_from((0.0, params.capacity)) | st.floats(0.0, 2.0).map(lambda x: x * params.capacity)
-    return params, initial, dt, draw(st.lists(st.tuples(rate, rate), min_size=1, max_size=150))
+    return params, dt, draw(st.lists(st.tuples(rate, rate), min_size=1, max_size=150))
 
 
 def _hex(columns) -> list[list[str]]:
@@ -367,14 +368,14 @@ def _hex(columns) -> list[list[str]]:
 @given(run=ltm_runs())
 def test_ltm_kernel_matches_the_kernel_that_reads_every_time(run):
     """Queue, inflow, outflow, F and G, bit for bit: one whole-grid call, and one call per rate pair (no carry)."""
-    params, initial, dt, rates = run
-    want_f, want_g = [initial], [0.0]
-    want = _hex([*_ref_ltm_advance(params, initial, dt, want_f, want_g, rates), want_f, want_g])
-    arrivals, departures = [initial], [0.0]
-    got = _ltm_advance(params, initial, dt, arrivals, departures, rates)
+    params, dt, rates = run
+    want_f, want_g = [params.initial], [0.0]
+    want = _hex([*_ref_ltm_advance(params, dt, want_f, want_g, rates), want_f, want_g])
+    arrivals, departures = [params.initial], [0.0]
+    got = _ltm_advance(params, dt, arrivals, departures, rates)
     assert _hex([*got, arrivals, departures]) == want
-    arrivals, departures = [initial], [0.0]
-    steps = [_ltm_advance(params, initial, dt, arrivals, departures, (pair,)) for pair in rates]
+    arrivals, departures = [params.initial], [0.0]
+    steps = [_ltm_advance(params, dt, arrivals, departures, (pair,)) for pair in rates]
     columns = [[x for (x,) in column] for column in zip(*steps)]
     assert _hex([*columns, arrivals, departures]) == want
 

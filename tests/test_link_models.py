@@ -17,7 +17,7 @@ from pqsim import (
     sine_floor,
 )
 from pqsim.scenario import simulate_model, validate_model
-from link_runs import next_step_volumes, replay_link
+from link_runs import loaded, next_step_volumes, replay_link
 from point_runs import per_step, run_steps
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
@@ -29,27 +29,27 @@ class TestLqmDemandSupply:
 
     def test_empty_link(self):
         """rho = 0: d = 0, s = min(150 * 20, 2250) = capacity."""
-        assert LqmSimulation(STANDARD, 0.0, dt=0.01).step(math.inf, math.inf) == (STANDARD.capacity * 0.01, 0.0)
+        assert LqmSimulation(STANDARD, dt=0.01).step(math.inf, math.inf) == (STANDARD.capacity * 0.01, 0.0)
 
     def test_full_link(self):
         """rho = storage: d = min(150 * 60, 2250) = capacity, s = 0."""
-        sim = LqmSimulation(STANDARD, STANDARD.storage, dt=0.01)
+        sim = LqmSimulation(loaded(STANDARD, STANDARD.storage), dt=0.01)
         assert sim.step(math.inf, math.inf) == (0.0, STANDARD.capacity * 0.01)
 
     def test_half_full(self):
         """rho = 75: d = min(75*60, 2250) = 2250, s = min(75*20, 2250) = 1500."""
-        assert LqmSimulation(STANDARD, 75.0, dt=0.01).step(math.inf, math.inf) == (1500.0 * 0.01, 2250.0 * 0.01)
+        assert LqmSimulation(loaded(STANDARD, 75.0), dt=0.01).step(math.inf, math.inf) == (1500.0 * 0.01, 2250.0 * 0.01)
 
     def test_domain_error(self):
         for content in (-1.0, 151.0):
-            with pytest.raises(ValueError, match="initial content must lie in"):
-                LqmSimulation(STANDARD, content, dt=0.01)
+            with pytest.raises(ValueError, match=r"initial must lie in \[0, 150\]"):
+                loaded(STANDARD, content)
 
 
 class TestLqmStep:
     def test_hand_update(self):
         """rho=75, delta=1000, sigma=1200: in = min(1000,1500)*dt, out = min(2250,1200)*dt."""
-        sim = LqmSimulation(STANDARD, 75.0, dt=0.01)
+        sim = LqmSimulation(loaded(STANDARD, 75.0), dt=0.01)
         fin, fout = sim.step(1000, 1200)
         assert fin == pytest.approx(10.0)
         assert fout == pytest.approx(12.0)
@@ -57,7 +57,7 @@ class TestLqmStep:
 
     def test_conservation(self):
         rng = random.Random(3)
-        sim = LqmSimulation(STANDARD, 20.0, dt=0.01)
+        sim = LqmSimulation(loaded(STANDARD, 20.0), dt=0.01)
         total_in, total_out = 0.0, 0.0
         for _ in range(200):
             fin, fout = sim.step(rng.uniform(0, 4000), rng.uniform(0, 4000))
@@ -67,7 +67,7 @@ class TestLqmStep:
 
     def test_boundedness_under_stable_step(self):
         rng = random.Random(5)
-        sim = LqmSimulation(STANDARD, 0.0, dt=1 / 60)  # = min(T1, T2)
+        sim = LqmSimulation(STANDARD, dt=1 / 60)  # = min(T1, T2)
         for _ in range(400):
             sim.step(rng.uniform(0, 5000), rng.uniform(0, 5000))
             assert -1e-9 <= sim.arrivals - sim.departures <= STANDARD.storage + 1e-9
@@ -75,7 +75,7 @@ class TestLqmStep:
     def test_flux_increments_are_lipschitz(self):
         """Each flux volume is at most (max(delta_max, capacity) + capacity) * dt."""
         rng = random.Random(7)
-        sim = LqmSimulation(STANDARD, 0.0, dt=0.01)
+        sim = LqmSimulation(STANDARD, dt=0.01)
         delta_max = 5000.0
         limit = (max(delta_max, STANDARD.capacity) + STANDARD.capacity) * 0.01
         for _ in range(300):
@@ -97,27 +97,27 @@ class TestLqmStep:
 
     def test_constructors_check_only_positive_dt(self):
         for sim_cls in (LqmSimulation, LtmSimulation):
-            sim_cls(STANDARD, 0.0, dt=0.02).step(1000, 1000)
+            sim_cls(STANDARD, dt=0.02).step(1000, 1000)
             with pytest.raises(ValueError, match="dt must be positive"):
-                sim_cls(STANDARD, 0.0, dt=0.0)
+                sim_cls(STANDARD, dt=0.0)
 
 
 class TestLtmBoundary:
     """Demand and supply volumes read off a copy stepped at unlimited delta and sigma."""
 
     def test_empty_link_has_no_demand(self):
-        sim = LtmSimulation(STANDARD, 0.0, dt=0.01)
+        sim = LtmSimulation(STANDARD, dt=0.01)
         _, demand, _ = next_step_volumes(sim)
         assert demand == 0.0
 
     def test_empty_link_supply_is_capacity_limited(self):
         """Vacancy wave offers storage/T2 but the capacity storage/T3 binds."""
-        sim = LtmSimulation(STANDARD, 0.0, dt=0.01)
+        sim = LtmSimulation(STANDARD, dt=0.01)
         _, _, supply = next_step_volumes(sim)
         assert supply == pytest.approx(STANDARD.capacity * 0.01)
 
     def test_full_link_has_no_supply(self):
-        sim = LtmSimulation(STANDARD, STANDARD.storage, dt=0.01)
+        sim = LtmSimulation(loaded(STANDARD, STANDARD.storage), dt=0.01)
         _, _, supply = next_step_volumes(sim)
         assert supply == pytest.approx(0.0)
 
@@ -128,7 +128,7 @@ class TestLtmBoundary:
         600*dt = 6 veh enters unthrottled; at t = 0.01 the delayed arrivals
         interpolate to 2 veh, which is the whole demand.
         """
-        sim = LtmSimulation(STANDARD, 0.0, dt=0.01)
+        sim = LtmSimulation(STANDARD, dt=0.01)
         fin, fout = sim.step(600, 1200)
         assert (fin, fout) == (6.0, 0.0)
         # t = 0.01: delayed window [0.01 - T1, 0.02 - T1] straddles 0; the
@@ -150,7 +150,7 @@ class TestLtmBoundary:
 
     def test_content_invariants(self):
         """G <= F <= G + storage along a saturated run."""
-        sim = LtmSimulation(STANDARD, 75.0, dt=0.005)
+        sim = LtmSimulation(loaded(STANDARD, 75.0), dt=0.005)
         for i in range(600):
             sim.step(4000 if i < 300 else 0, 500)
             assert sim.departures <= sim.arrivals + 1e-9
@@ -160,11 +160,11 @@ class TestLtmBoundary:
 
     def test_initial_content_seeds_demand(self):
         """A preloaded link releases its initial content at rate content/T1."""
-        sim = LtmSimulation(STANDARD, 60.0, dt=0.01)
+        sim = LtmSimulation(loaded(STANDARD, 60.0), dt=0.01)
         _, demand, _ = next_step_volumes(sim)
         # 60 veh / T1 = 3600 vph exceeds capacity 2250, so capacity binds.
         assert demand == pytest.approx(STANDARD.capacity * 0.01)
-        sim2 = LtmSimulation(STANDARD, 30.0, dt=0.01)
+        sim2 = LtmSimulation(loaded(STANDARD, 30.0), dt=0.01)
         _, demand2, _ = next_step_volumes(sim2)
         assert demand2 == pytest.approx(30.0 / STANDARD.free_flow_time * 0.01)  # 1800 vph
 
@@ -190,7 +190,7 @@ class TestZeroLengthLimit:
 
             That is F - G for the LQM and F(t - T1) - G(t) for the LTM.
             """
-            sim = cls(params, 0.0, dt)
+            sim = cls(params, dt)
             out = []
             for delta, sigma in rates:
                 sim.step(delta, sigma)
@@ -226,7 +226,7 @@ def link_scenarios(draw):
         wave_speed=draw(st.floats(10.0, 40.0)),
         jam_density=draw(st.floats(100.0, 200.0)),
     )
-    initial = draw(st.sampled_from((0.0, params.storage)) | st.floats(0.0, params.storage))
+    params = loaded(params, draw(st.sampled_from((0.0, params.storage)) | st.floats(0.0, params.storage)))
     unsafe = draw(st.booleans())
     if unsafe:  # past the step bound: the one-step-later reads look past the present
         dt = draw(st.floats(1.01, 4.0)) * draw(st.sampled_from((params.free_flow_time, params.wave_time)))
@@ -235,7 +235,7 @@ def link_scenarios(draw):
     rates = draw(st.lists(st.tuples(LINK_RATE, LINK_RATE), min_size=1, max_size=60))
     demand, supply = per_step(rates, dt)
     horizon = len(rates) * dt
-    return Scenario(model, demand, supply, dt, horizon, link=params, link_initial=initial, unsafe=unsafe)
+    return Scenario(model, demand, supply, dt, horizon, link=params, unsafe=unsafe)
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,6 +10,8 @@ assigning a field of a frozen record raises ``AttributeError``, the
 """
 
 import inspect
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +38,7 @@ from pqsim import (
 from pqsim.scenario import ModelSpec
 
 ROOT = Path(__file__).resolve().parents[1]
+NAN = math.nan
 QUEUE = QueueSpec(200.0)
 COLUMN = [0.0]
 
@@ -53,11 +56,10 @@ RECORDS = [
     _record(
         Scenario,
         ("pqm1", Constant(1.0), Constant(2.0), 0.1, 1.0),
-        "model demand supply dt horizon queue link link_initial tandem epsilon formulation unsafe source",
+        "model demand supply dt horizon queue link tandem epsilon formulation unsafe source",
         {
             "queue": None,
             "link": None,
-            "link_initial": 0.0,
             "tandem": None,
             "epsilon": None,
             "formulation": Formulation.QUEUE,
@@ -75,20 +77,28 @@ RECORDS = [
             ((10.0, -1.0), "initial content must be nonnegative"),
             ((10.0, 11.0), "initial content 11.0 exceeds capacity 10.0"),
             ((None, -1.0), "initial content must be nonnegative"),
+            ((NAN,), "capacity must be positive or None"),
+            ((200.0, NAN), "initial content must be nonnegative"),
         ],
     ),
     _record(
         LinkParams,
-        (1.0, 2.0, 60.0, 20.0, 150.0),
-        "length lanes free_flow_speed wave_speed jam_density",
+        (1.0, 2.0, 60.0, 20.0, 150.0, 75.0),
+        "length lanes free_flow_speed wave_speed jam_density initial",
+        {"initial": 0.0},
         bad=[
-            (tuple(0.0 if j == i else 1.0 for j in range(5)), f"{name} must be strictly positive")
+            (tuple(bad if j == i else 1.0 for j in range(5)), f"{name} must be strictly positive")
             for i, name in enumerate(("length", "lanes", "free_flow_speed", "wave_speed", "jam_density"))
+            for bad in (0.0, NAN)
+        ]
+        + [
+            ((1.0, 2.0, 60.0, 20.0, 150.0, bad), re.escape(f"initial must lie in [0, 300] (got {bad:g})"))
+            for bad in (-1.0, 300.5, NAN)
         ],
     ),
     _record(TandemQueue, (QUEUE, PqModel.PQM3), "spec model", {"model": PqModel.PQM1}),
     _record(TandemSpec, ((TandemQueue(QUEUE),),), "queues", bad=[(((),), "at least one queue")]),
-    _record(Constant, (1200.0,), "rate", bad=[((-1.0,), "rate must be nonnegative")]),
+    _record(Constant, (1200.0,), "rate", bad=[((bad,), "rate must be nonnegative") for bad in (-1.0, NAN)]),
     _record(
         PiecewiseConstant,
         ((0.0, 1.0), (1.0, 2.0)),
@@ -99,13 +109,15 @@ RECORDS = [
             (((1.0,), (1.0,)), "first breakpoint must be 0"),
             (((0.0, 0.0), (1.0, 1.0)), "strictly increasing"),
             (((0.0,), (-1.0,)), "rates must be nonnegative"),
+            (((0.0, NAN), (1.0, 2.0)), "strictly increasing"),
+            (((0.0, 1.0), (5.0, NAN)), "rates must be nonnegative"),
         ],
     ),
     _record(
         SineFloor,
         (2000.0, 1000.0),
         "amplitude floor",
-        bad=[((1000.0, 1000.0), "amplitude > floor >= 0"), ((1000.0, -1.0), "amplitude > floor >= 0")],
+        bad=[((a, f), "amplitude > floor >= 0") for a, f in ((1000.0, 1000.0), (1000.0, -1.0), (NAN, 0.0), (1.0, NAN))],
     ),
     _record(
         TrajectoryStats,

@@ -3,7 +3,11 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ import pqsim
 from pqsim import (
     Constant,
     Formulation,
+    LinkParams,
     ScenarioError,
     Trajectory,
     ValidationError,
@@ -391,17 +396,51 @@ def test_ill_typed_fields_rejected_with_path_named(tmp_path, capsys, field, valu
 @pytest.mark.parametrize("model", ["ltm", "lqm"])
 @pytest.mark.parametrize("initial", [-1.0, 150.5, 1e6])
 def test_link_initial_outside_the_storage_rejected(tmp_path, capsys, model, initial):
-    """Storage is 150 veh: the content is rejected at parse and by validate_model, under unsafe too."""
+    """Storage is 150 veh: the content is rejected at parse, under unsafe too, and by ``LinkParams`` in Python."""
     doc = dict(BASE, model=model, dt=0.001, link=dict(LINK, initial=initial))
     scenario = make(tmp_path / "s.json", doc)
-    message = f"field 'link.initial' must lie in [0, 150] (got {initial:g})"
+    message = f"initial must lie in [0, 150] (got {initial:g})"
     assert main(["simulate", str(scenario), "--unsafe"]) == 2
-    assert f"{scenario}: {message}" in capsys.readouterr().err
-    built = scenario_from_dict(dict(doc, link=LINK), source="s.json")._replace(link_initial=initial)
-    for unsafe in (False, True):
-        with pytest.raises(ValidationError, match=re.escape(f"s.json: {message}")):
-            validate_model(built._replace(unsafe=unsafe), model)
-    validate_model(built._replace(link_initial=150.0), model)  # a full link is admissible
+    assert f"{scenario}: link: {message}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LinkParams(**LINK, initial=initial)
+    built = scenario_from_dict(dict(doc, link=LINK), source="s.json")
+    validate_model(built._replace(link=LinkParams(**LINK, initial=150.0)), model)  # a full link is admissible
+    assert built.link.initial == 0.0  # a missing content is an empty link
+
+
+def test_vickrey_names_the_file_and_field_of_a_nonzero_initial_content(tmp_path, capsys):
+    """The closed form needs an empty queue: exit 2 naming the file and 'queue.initial'; the run path starts loaded."""
+    scenario = make(tmp_path / "s.json", dict(BASE, queue={"capacity": 200, "initial": 5}))
+    assert main(["vickrey", str(scenario)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {scenario}: the closed form needs field 'queue.initial' = 0 (got 5)\n"
+    assert main(["simulate", str(scenario), "--models", "vickrey"]) == 0
+
+
+@pytest.mark.parametrize(
+    "field, text, problem",
+    [
+        ("demand", "[" * 980 + "]" * 980, "field 'demand' must be a dict (got [[[[[["),
+        ("queue.capacity", json.dumps([0] * 5000), "field 'queue.capacity' must be a finite number (got [0, 0, "),
+        ("model", json.dumps("m" * 10**5), "unknown model 'mmmm"),
+    ],
+    ids=["deep-demand", "long-capacity", "long-model"],
+)
+def test_long_bad_values_echo_briefly(tmp_path, field, text, problem):
+    """A bad value is echoed shortened: exit 2 naming the field, stderr under 300 bytes whatever the value's size.
+
+    A fresh CLI process, so the 980-deep array parses within the default recursion limit as it does for a user.
+    """
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(_with(BASE, field, "@")).replace('"@"', text))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "pqsim.cli", "simulate", str(scenario)], capture_output=True, env=env, timeout=120
+    )
+    assert done.returncode == 2 and done.stdout == b""
+    assert done.stderr.startswith(f"error: {scenario}: {problem}".encode()) and len(done.stderr) < 300
 
 
 class TestTandemThroughModels:
