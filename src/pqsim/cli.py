@@ -112,7 +112,7 @@ def _cmd_vickrey(args) -> int:
     solution = vickrey_closed_form(scenario.demand, scenario.supply, scenario.dt, scenario.horizon)
     dt, n = solution.dt, len(solution.grid) - 1
     cumulative = (solution.arrivals, solution.departures)
-    columns = [list(c[:n]) for c in (solution.grid, solution.queue, *cumulative)]
+    columns = [list(c[:n]) for c in (solution.queue, *cumulative)]
     fluxes = [[(c[i + 1] - c[i]) / dt for i in range(n)] for c in cumulative]
     traj = Trajectory("vickrey_closed_form", dt, *columns, *fluxes)
     print(f"vickrey closed form: {traj.stats().describe()}")

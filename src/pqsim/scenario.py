@@ -307,19 +307,17 @@ def _largest_volumes(queues, rate, passes_on: str) -> list:
 
 
 class _Grid:
-    """One call's step grid: the rates and the time column, sampled once for the ``uses`` runs that share them.
+    """One call's step grid: the rates, sampled once for the ``uses`` runs that share them.
 
     ``rates(conv)`` gives (delta, sigma) at each step start, each converted
-    by ``conv`` (such as Fraction) for that run only; ``times`` is the time
-    column every trajectory of the call shares.  Both are built on first
-    use.  The last run's ``rates`` owns the rate lists: they go when its
-    loop ends, before it asks for ``times``, so a one-model run never holds both.
+    by ``conv`` (such as Fraction) for that run only; the lists are built
+    on first use.  The last run's ``rates`` owns them: they go when its loop ends.
     """
 
-    __slots__ = ("scenario", "uses", "_rates", "_times")
+    __slots__ = ("scenario", "uses", "_rates")
 
     def __init__(self, scenario: Scenario, uses: int = 1):
-        self.scenario, self.uses, self._rates, self._times = scenario, uses, None, None
+        self.scenario, self.uses, self._rates = scenario, uses, None
 
     def rates(self, conv=None):
         s, self.uses = self.scenario, self.uses - 1
@@ -327,13 +325,6 @@ class _Grid:
         rates = self._rates or (s.demand.rates_on_grid(n, s.dt), s.supply.rates_on_grid(n, s.dt))
         self._rates = rates if self.uses else None
         return zip(*rates) if conv is None else zip(*(map(conv, column) for column in rates))
-
-    @property
-    def times(self) -> list[float]:
-        if self._times is None:
-            dt = self.scenario.dt
-            self._times = [i * dt for i in range(round(self.scenario.horizon / dt))]
-        return self._times
 
 
 def _run_point(
@@ -375,7 +366,7 @@ def _run_point(
     if exact:
         arrs = list(map(float, arrs))
         deps = list(map(float, deps))
-    return [Trajectory(name, dt, grid.times, queues, arrs, deps, fin, fout)]
+    return [Trajectory(name, dt, queues, arrs, deps, fin, fout)]
 
 
 def _run_vickrey(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
@@ -392,10 +383,9 @@ def _run_link(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[T
     advance = link_models._ltm_advance if name == "ltm" else link_models._lqm_advance
     queues, fin, fout = advance(link, dt, arrs, deps, grid.rates())
     del arrs[-1], deps[-1]
-    # Volumes to rates before the time column exists, so the peak holds one spare column at most.
     fin = list(map(truediv, fin, repeat(dt)))
     fout = list(map(truediv, fout, repeat(dt)))
-    return [Trajectory(name, dt, grid.times, queues, arrs, deps, fin, fout)]
+    return [Trajectory(name, dt, queues, arrs, deps, fin, fout)]
 
 
 def _run_tandem(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
@@ -416,7 +406,7 @@ def _run_tandem(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list
             f_out.append(fluxes[k + 1] / dt)
         arrivals = list(map(add, arrivals, fluxes))
         departures = list(map(add, departures, fluxes[1:]))
-    return [Trajectory(f"queue{k + 1}", dt, grid.times, *column) for k, column in enumerate(columns)]
+    return [Trajectory(f"queue{k + 1}", dt, *column) for k, column in enumerate(columns)]
 
 
 def _tandem_notes(scenario: Scenario, trajectories: list[Trajectory]) -> dict:
@@ -446,10 +436,10 @@ class ModelSpec(namedtuple("ModelSpec", "needs check run notes exact", defaults=
     violated (``unsafe`` skips it), and ``run(scenario, name, exact, grid)``
     returns its trajectories: one for a point or link model, one per queue
     for a tandem.  A runner iterates ``grid.rates()`` once, holding it only
-    in its loop, and takes ``grid.times`` after the loop, so every
-    model of a call shares one ``_Grid``.  ``notes(scenario, trajectories)``,
-    when set, returns report lines computed from the recorded columns after
-    the run.  ``exact`` marks the models that can run on ``Fraction`` arithmetic.
+    in its loop, so every model of a call shares one ``_Grid``.
+    ``notes(scenario, trajectories)``, when set, returns report lines
+    computed from the recorded columns after the run.  ``exact`` marks the
+    models that can run on ``Fraction`` arithmetic.
     """
 
     __slots__ = ()

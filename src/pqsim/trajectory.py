@@ -2,18 +2,21 @@
 
 A trajectory holds one row per simulation step, attributed to the step's
 start time: the state (queue length, cumulative in/out flows) at the start
-of the step and the average fluxes over the step (volume / dt).  CSV
+of the step and the average fluxes over the step (volume / dt).  It stores
+dt and those five columns; row i starts at t = i * dt, which ``times``,
+``stats`` and ``write_csv`` derive, so no time column is kept.  CSV
 columns are exactly ``t, lambda, F, G, f, g`` with units hr, veh, veh,
 veh, veh/hr, veh/hr.  Floats are written with ``repr`` so files are
 byte-identical across runs and parse back to the same doubles, which makes
-summary statistics exactly recomputable from the file.
+summary statistics exactly recomputable from the file; ``from_csv`` takes
+dt from the ``t`` column and rejects a file whose ``t`` is not ``i * dt``.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from itertools import starmap
+from itertools import repeat, starmap
 from pathlib import Path
 
 __all__ = ["Trajectory", "TrajectoryStats", "sup_distance", "CSV_COLUMNS"]
@@ -54,15 +57,15 @@ class TrajectoryStats(
 class Trajectory:
     """One row per step: state at the step start plus the step's fluxes; the columns are lists."""
 
-    __slots__ = ("label", "dt", "times", "queue", "arrivals", "departures", "inflow_rate", "outflow_rate")
+    __slots__ = ("label", "dt", "queue", "arrivals", "departures", "inflow_rate", "outflow_rate")
 
-    def __init__(self, label, dt, times, queue, arrivals, departures, inflow_rate, outflow_rate):
-        self.label, self.dt, self.times, self.queue = label, dt, times, queue
+    def __init__(self, label, dt, queue, arrivals, departures, inflow_rate, outflow_rate):
+        self.label, self.dt, self.queue = label, dt, queue
         self.arrivals, self.departures = arrivals, departures
         self.inflow_rate, self.outflow_rate = inflow_rate, outflow_rate
         for name in self.__slots__[3:]:
-            if len(getattr(self, name)) != len(times):
-                raise ValueError(f"column {name} has length {len(getattr(self, name))}, expected {len(times)}")
+            if len(getattr(self, name)) != len(queue):
+                raise ValueError(f"column {name} has length {len(getattr(self, name))}, expected {len(queue)}")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
@@ -73,27 +76,30 @@ class Trajectory:
         return [getattr(self, k) for k in self.__slots__] == [getattr(other, k) for k in self.__slots__]
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.queue)
+
+    @property
+    def times(self) -> list[float]:
+        """Each row's start time, ``i * dt``: the ``t`` column of the CSV."""
+        return list(map(operator.mul, range(len(self)), repeat(self.dt)))
 
     def stats(self) -> TrajectoryStats:
-        if not self.times:
+        queue, dt = self.queue, self.dt
+        if not queue:
             raise ValueError("empty trajectory")
-        peak = max(self.queue)
+        peak = max(queue)
         if peak <= 0:
             return TrajectoryStats(peak, None, None, None, None, None)
-        peak_time = self.times[self.queue.index(peak)]
-        first_positive = next((t for t, q in zip(self.times, self.queue) if q > 0), None)
-        last_peak_idx = max(i for i, q in enumerate(self.queue) if q == peak)
-        dissipation = self.times[last_peak_idx]
-        vanish = next(
-            (t for t, q in zip(self.times[last_peak_idx:], self.queue[last_peak_idx:]) if q <= VANISH_EPS),
-            None,
+        first_positive = next((i * dt for i, q in enumerate(queue) if q > 0), None)
+        last_peak_idx = max(i for i, q in enumerate(queue) if q == peak)
+        vanish = next((i * dt for i in range(last_peak_idx, len(queue)) if queue[i] <= VANISH_EPS), None)
+        return TrajectoryStats(
+            peak, queue.index(peak) * dt, first_positive, last_peak_idx * dt, vanish, min(queue[last_peak_idx:])
         )
-        return TrajectoryStats(peak, peak_time, first_positive, dissipation, vanish, min(self.queue[last_peak_idx:]))
 
     def write_csv(self, path: str | Path) -> Path:
-        columns = (self.times, self.queue, self.arrivals, self.departures, self.inflow_rate, self.outflow_rate)
-        return _write_table(path, CSV_COLUMNS, zip(*columns))
+        columns = (self.queue, self.arrivals, self.departures, self.inflow_rate, self.outflow_rate)
+        return _write_table(path, CSV_COLUMNS, zip(map(operator.mul, range(len(self)), repeat(self.dt)), *columns))
 
     @classmethod
     def from_csv(cls, path: str | Path, label: str | None = None) -> "Trajectory":
@@ -104,14 +110,16 @@ class Trajectory:
             reader = csv.reader(fh)
             header = tuple(next(reader))
             if header != CSV_COLUMNS:
-                raise ValueError(f"unexpected CSV header {header!r}, want {CSV_COLUMNS!r}")
-            cols: list[list[float]] = [[] for _ in CSV_COLUMNS]
+                raise ValueError(f"{path}: unexpected CSV header {header!r}, want {CSV_COLUMNS!r}")
+            times, *columns = cols = [[] for _ in CSV_COLUMNS]
             for row in reader:
                 for col, cell in zip(cols, row):
                     col.append(float(cell))
-        times = cols[0]
-        dt = times[1] - times[0] if len(times) > 1 else 0.0
-        return cls(label or path.stem, dt, *cols)
+        dt = times[1] if len(times) > 1 else 0.0
+        bad = next((i for i, t in enumerate(times) if t != i * dt), None)
+        if bad is not None:
+            raise ValueError(f"{path}: row {bad + 1} has t = {times[bad]!r}, not {bad} * dt = {bad * dt!r}")
+        return cls(label or path.stem, dt, *columns)
 
 
 def _write_table(path: str | Path, header, rows) -> Path:

@@ -31,11 +31,11 @@ def replay_link(scenario) -> Trajectory:
     sim_cls = LtmSimulation if scenario.model == "ltm" else LqmSimulation
     dt = scenario.dt
     sim = sim_cls(scenario.link, dt)
-    columns = ([], [], [], [], [], [])  # t, lambda, F, G, f, g
+    columns = ([], [], [], [], [])  # lambda, F, G, f, g
     for i in range(round(scenario.horizon / dt)):
         t = i * dt
         arrivals, departures = sim.arrivals, sim.departures
         in_vol, out_vol = sim.step(scenario.demand.rate_at(t), scenario.supply.rate_at(t))
-        for column, value in zip(columns, (t, sim.step_queue, arrivals, departures, in_vol / dt, out_vol / dt)):
+        for column, value in zip(columns, (sim.step_queue, arrivals, departures, in_vol / dt, out_vol / dt)):
             column.append(value)
     return Trajectory(scenario.model, dt, *columns)

@@ -11,6 +11,7 @@ so the comparisons are on ``repr`` and type, where 0.0 and -0.0, or 0 and
 
 import csv
 import math
+import re
 from bisect import bisect_right
 from itertools import product
 
@@ -49,13 +50,14 @@ def _repr_writer(traj: Trajectory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "lambda", "F", "G", "f", "g"])
-        for row in zip(traj.times, traj.queue, traj.arrivals, traj.departures, traj.inflow_rate, traj.outflow_rate):
+        times = [i * traj.dt for i in range(len(traj))]
+        for row in zip(times, traj.queue, traj.arrivals, traj.departures, traj.inflow_rate, traj.outflow_rate):
             writer.writerow([repr(x) for x in row])
 
 
 def test_write_csv_bytes_match_the_repr_writer(tmp_path):
     n = len(EDGE_FLOATS)
-    columns = [EDGE_FLOATS[k:] + EDGE_FLOATS[:k] for k in range(6)]  # every value in every column
+    columns = [EDGE_FLOATS[k:] + EDGE_FLOATS[:k] for k in range(5)]  # every value in every stored column
     traj = Trajectory("edge", 0.1, *columns)
     assert n == len(traj)
     _repr_writer(traj, tmp_path / "reference.csv")
@@ -64,6 +66,26 @@ def test_write_csv_bytes_match_the_repr_writer(tmp_path):
     back = Trajectory.from_csv(written)
     for name in ("times", "queue", "arrivals", "departures", "inflow_rate", "outflow_rate"):
         assert list(map(repr, getattr(back, name))) == list(map(repr, getattr(traj, name)))
+
+
+@pytest.mark.parametrize("dt", [0.1, 8e-4])
+def test_csv_round_trip_is_byte_identical(tmp_path, dt):
+    """``from_csv`` recovers dt from the ``t`` column, so writing what it read gives the same bytes."""
+    n = 1500
+    columns = [[EDGE_FLOATS[(i + k) % len(EDGE_FLOATS)] for i in range(n)] for k in range(5)]
+    first = Trajectory("edge", dt, *columns).write_csv(tmp_path / "first.csv")
+    back = Trajectory.from_csv(first)
+    assert back.dt == dt and back.times == [i * dt for i in range(n)]
+    assert back.write_csv(tmp_path / "second.csv").read_bytes() == first.read_bytes()
+
+
+def test_csv_whose_t_is_not_i_times_dt_is_rejected_naming_the_file(tmp_path):
+    """A ``t`` column rounded to decimals is not ``i * dt``: 3 * 0.1 is 0.30000000000000004, not 0.3."""
+    path = tmp_path / "rounded.csv"
+    rows = [f"{t},0.0,0.0,0.0,0.0,0.0\r\n" for t in ("0.0", "0.1", "0.2", "0.3")]
+    path.write_text("t,lambda,F,G,f,g\r\n" + "".join(rows), newline="")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 4 has t = 0.3, not 3 \\* dt"):
+        Trajectory.from_csv(path)
 
 
 def _ref_interp(sim: LtmSimulation, series: list[float], s: float) -> float:

@@ -129,12 +129,12 @@ RECORDS = [
     _record(ModelSpec, (("queue",), None, print), "needs check run notes exact", {"notes": None, "exact": False}),
     _record(
         Trajectory,
-        ("x", 0.1, COLUMN, COLUMN, COLUMN, COLUMN, COLUMN, COLUMN),
-        "label dt times queue arrivals departures inflow_rate outflow_rate",
+        ("x", 0.1, COLUMN, COLUMN, COLUMN, COLUMN, COLUMN),
+        "label dt queue arrivals departures inflow_rate outflow_rate",
         frozen=False,
         bad=[
-            (("x", 0.1, COLUMN, [], COLUMN, COLUMN, COLUMN, COLUMN), "column queue has length 0, expected 1"),
-            (("x", 0.1, COLUMN, COLUMN, COLUMN, COLUMN, COLUMN, [1.0, 2.0]), "column outflow_rate has length 2"),
+            (("x", 0.1, COLUMN, [], COLUMN, COLUMN, COLUMN), "column arrivals has length 0, expected 1"),
+            (("x", 0.1, COLUMN, COLUMN, COLUMN, COLUMN, [1.0, 2.0]), "column outflow_rate has length 2"),
         ],
     ),
     _record(RunReport, ({}, {}, {}, {}), "trajectories stats distances metadata", hashable=False),

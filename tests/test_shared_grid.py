@@ -1,14 +1,15 @@
-"""One grid per call: every model a call runs shares one sampling of the rates and one time column.
+"""One grid per call: every model a call runs shares one sampling of the rates.
 
 ``run_scenario`` and ``convergence_table`` sample the demand and supply
 profiles once per call (per step size for a convergence) and hand the same
 lists to every model's runner.  These tests pin that the shared grid
 changes no trajectory, that each profile is sampled once per call and
-again by the next call, that a one-model run's peak memory holds the rate
-lists or the time column but never both, and the rejections of model lists
-that repeat a name or leave nothing to compare.
+again by the next call, that a one-model run keeps its five columns and
+no rate list, and the rejections of model lists that repeat a name or
+leave nothing to compare.
 """
 
+import sys
 import tracemalloc
 
 import pytest
@@ -49,7 +50,6 @@ def test_one_call_gives_what_separate_runs_give(formulation, exact):
         shared = report.trajectories[alone.label]
         assert type(shared) is type(alone) is Trajectory
         assert repr(shared) == repr(alone)
-    assert len({id(t.times) for t in report.trajectories.values()}) == 1  # one time column for the whole call
 
 
 @pytest.fixture
@@ -94,14 +94,13 @@ def test_convergence_computes_no_stats(monkeypatch):
 
 
 @pytest.mark.parametrize("path, model", [(RELAXED, "pqm1"), (LINK_SCENARIO, "ltm")], ids=["pqm1", "ltm"])
-def test_one_model_run_holds_rates_or_times_never_both(path, model):
-    """The rate lists go when the loop ends, before the time column is built.
+def test_one_model_run_keeps_five_columns_and_no_rate_list(path, model):
+    """What a run keeps is its five stored columns: the rate lists go when the loop ends.
 
-    What the run keeps is its six columns.  Past them, the peak holds one
-    spare list of pointers (formulation A's float conversion of lambda),
-    well under one column of new floats; a rate list still alive while the
-    time column is built would add a whole column of floats and more.  The
-    LTM's F and G columns are its histories, so it holds no second copy.
+    The kept memory is the five lists and their floats, to within half a
+    list of pointers; a rate list that outlived the loop would add at
+    least a whole one.  During the loop the rate lists live beside the
+    growing columns, so the peak tops what is kept by about one column.
     """
     scenario = load_scenario(path).with_overrides(model=model, dt=1e-4, horizon=0.5)
     simulate_model(scenario)
@@ -111,8 +110,12 @@ def test_one_model_run_holds_rates_or_times_never_both(path, model):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    column = kept / 6
-    assert len(traj) == 5000 and peak - kept < column / 2
+    columns = [traj.queue, traj.arrivals, traj.departures, traj.inflow_rate, traj.outflow_rate]
+    floats = {id(x): x for column in columns for x in column}.values()
+    footprint = sum(map(sys.getsizeof, columns)) + sum(map(sys.getsizeof, floats))
+    n = len(traj)
+    assert n == 5000 and kept < footprint + 8 * n / 2
+    assert peak - kept < 1.5 * kept / 5
 
 
 @pytest.mark.parametrize(
