@@ -95,24 +95,10 @@ class VickreySolution(namedtuple("VickreySolution", "dt grid arrivals departures
     __slots__ = ()
 
 
-def vickrey_closed_form(
-    demand: Profile,
-    supply: Profile,
-    dt: float,
-    horizon: float,
-    initial: float = 0.0,
-) -> VickreySolution:
-    """Solve the unbounded-storage bottleneck on a uniform grid.
-
-    The closed form holds for an initially empty queue; a nonzero initial
-    content is rejected.
-    """
-    if initial != 0:
-        raise ValueError(
-            f"the closed-form solution requires an initially empty queue (got initial = {initial})"
-        )
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
+def vickrey_closed_form(demand: Profile, supply: Profile, dt: float, horizon: float) -> VickreySolution:
+    """Solve the unbounded-storage bottleneck from an empty queue on a uniform grid."""
+    if not (0 < dt < math.inf and 0 < horizon < math.inf):
+        raise ValueError(f"dt and horizon must be positive and finite (got dt = {dt!r}, horizon = {horizon!r})")
     n = round(horizon / dt)
     grid = [i * dt for i in range(n + 1)]
     arrivals = [demand.cumulative(t) for t in grid]

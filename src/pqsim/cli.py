@@ -107,7 +107,7 @@ def _cmd_vickrey(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
     check_grid(scenario)
     initial = scenario.queue.initial if scenario.queue is not None else 0.0
-    if initial != 0:  # vickrey_closed_form's own check names neither the file nor the field
+    if initial != 0:
         raise ValidationError(f"{scenario.source}: the closed form needs field 'queue.initial' = 0 (got {initial:g})")
     solution = vickrey_closed_form(scenario.demand, scenario.supply, scenario.dt, scenario.horizon)
     dt, n = solution.dt, len(solution.grid) - 1

@@ -1,4 +1,4 @@
-"""Error types shared across the package."""
+"""Error types shared across the package, and the ``_make`` of the records that check their fields."""
 
 
 class PqsimError(Exception):
@@ -11,3 +11,8 @@ class ScenarioError(PqsimError, ValueError):
 
 class ValidationError(PqsimError, ValueError):
     """A scenario violates a model admissibility bound (step size, relaxation time)."""
+
+
+def checked_make(cls, values):
+    """``cls(*values)``: set as ``_make = classmethod(checked_make)``, it makes ``_make`` and ``_replace`` check."""
+    return cls(*values)

@@ -34,6 +34,7 @@ from collections import namedtuple
 from math import inf
 from operator import sub
 
+from .errors import checked_make
 from .point_queue import PqModel
 
 __all__ = ["TandemQueue", "TandemSpec", "step_tandem"]
@@ -49,6 +50,7 @@ class TandemSpec(namedtuple("TandemSpec", "queues")):
     """Ordered queues (a tuple of ``TandemQueue``) from origin to destination."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, queues):
         queues = tuple(queues)

@@ -32,6 +32,8 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
 
+from .errors import checked_make
+
 __all__ = [
     "Profile",
     "Constant",
@@ -92,6 +94,7 @@ class Profile:
 
 class Constant(namedtuple("Constant", "rate"), Profile):
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, rate):
         if not _number("rate", rate) >= 0:  # NaN fails too
@@ -122,6 +125,8 @@ class PiecewiseConstant(namedtuple("PiecewiseConstant", "breakpoints rates"), Pr
     rate extends to infinity.  Both are stored as tuples of floats; a str,
     bool or None entry is a ``ValueError`` naming it, not a coerced value.
     """
+
+    _make = classmethod(checked_make)
 
     def __new__(cls, breakpoints, rates):
         bp, r = _floats("breakpoints", breakpoints), _floats("rates", rates)
@@ -181,6 +186,7 @@ class SineFloor(namedtuple("SineFloor", "amplitude floor"), Profile):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, amplitude, floor):
         if not _number("amplitude", amplitude) > _number("floor", floor) >= 0:

@@ -27,7 +27,9 @@ Profiles are ``{"type": ..., <its fields>}`` records (``_PROFILES``).
 ``MODELS`` is the one table of models: per name, the fields it needs, its
 admissibility check, its runner and, optionally, its report notes.  Every
 runner returns a list of trajectories: one for a point or link model, one
-per queue for a tandem, so every model runs through the same path.
+per queue for a tandem, so every model runs through the same path.  The
+models of one call share one sampling of the rates (``_Grid``); each
+trajectory stores dt and five columns, and derives its times as i * dt.
 
 Every run validates the grid (dt, horizon, a whole number of at most
 ``MAX_STEPS`` steps) and the relevant admissibility bound first and
@@ -37,9 +39,8 @@ scenarios produce byte-identical CSV files.
 
 ``Scenario``, like most of the package's frozen records, is a
 ``collections.namedtuple`` subclass: compared and hashed by value, checked
-in ``__new__`` where it has checks, and cheap to create on import, which
-every CLI process pays for.  ``_replace`` and ``_make`` skip ``__new__``,
-so only a type without checks (``Scenario``) is rebuilt through them.
+in ``__new__`` where it has checks (``_replace`` and ``_make`` run them
+too), and cheap to create on import, which every CLI process pays for.
 """
 
 from __future__ import annotations

@@ -118,7 +118,7 @@ class Trajectory:
         dt = times[1] if len(times) > 1 else 0.0
         bad = next((i for i, t in enumerate(times) if t != i * dt), None)
         if bad is not None:
-            raise ValueError(f"{path}: row {bad + 1} has t = {times[bad]!r}, not {bad} * dt = {bad * dt!r}")
+            raise ValueError(f"{path}: t[{bad}] = {times[bad]!r} is not {bad} * dt = {bad * dt!r}")
         return cls(label or path.stem, dt, *columns)
 
 

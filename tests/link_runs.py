@@ -1,14 +1,9 @@
-"""Link-model helpers for tests: a loaded link, the next step's volumes, and a run replayed one step at a time."""
+"""Link-model helpers for tests: the next step's volumes, and a run replayed one step at a time."""
 
 import copy
 import math
 
-from pqsim import LinkParams, LqmSimulation, LtmSimulation, Trajectory
-
-
-def loaded(params: LinkParams, initial: float) -> LinkParams:
-    """``params`` holding the initial content ``initial``, checked by the constructor (``_replace`` skips it)."""
-    return LinkParams(*params[:5], initial)
+from pqsim import LqmSimulation, LtmSimulation, Trajectory
 
 
 def next_step_volumes(sim) -> tuple[float, float, float]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -80,9 +81,13 @@ class TestVickreyClosedForm:
             assert q == pytest.approx(f - g, abs=1e-9)
             assert q >= -1e-12
 
-    def test_nonzero_initial_content_rejected(self):
-        with pytest.raises(ValueError, match="initially empty"):
-            vickrey_closed_form(Constant(1000), Constant(1200), 0.01, 1.0, initial=5.0)
+    @pytest.mark.parametrize(
+        "dt, horizon", [(math.nan, 1.0), (math.inf, 1.0), (0.01, math.nan), (0.01, math.inf), (0.0, 1.0), (0.01, -1.0)]
+    )
+    def test_non_positive_or_non_finite_grid_rejected(self, dt, horizon):
+        message = re.escape(f"dt and horizon must be positive and finite (got dt = {dt!r}, horizon = {horizon!r})")
+        with pytest.raises(ValueError, match=message):
+            vickrey_closed_form(Constant(1000), Constant(1200), dt, horizon)
 
     def test_min_plus_vs_simulation_random_profiles(self):
         """Random grid-aligned step demands: closed form == recursion to the step bound."""

@@ -36,7 +36,7 @@ from pqsim import (
 from pqsim.approx import _step_with_volumes as eps_step
 from pqsim.link_models import _ltm_advance
 from pqsim.point_queue import _step_with_volumes as exact_step
-from link_runs import loaded, next_step_volumes
+from link_runs import next_step_volumes
 from reference import _ref_advance, _ref_demand_volume, _ref_eps_advance, _ref_ltm_advance, _ref_supply_volume
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
@@ -80,11 +80,18 @@ def test_csv_round_trip_is_byte_identical(tmp_path, dt):
 
 
 def test_csv_whose_t_is_not_i_times_dt_is_rejected_naming_the_file(tmp_path):
-    """A ``t`` column rounded to decimals is not ``i * dt``: 3 * 0.1 is 0.30000000000000004, not 0.3."""
+    """A ``t`` column rounded to decimals is not ``i * dt``: 3 * 0.1 is 0.30000000000000004, not 0.3.
+
+    A header other than ``t,lambda,F,G,f,g`` names the file too.
+    """
     path = tmp_path / "rounded.csv"
-    rows = [f"{t},0.0,0.0,0.0,0.0,0.0\r\n" for t in ("0.0", "0.1", "0.2", "0.3")]
-    path.write_text("t,lambda,F,G,f,g\r\n" + "".join(rows), newline="")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 4 has t = 0.3, not 3 \\* dt"):
+    rows = "".join(f"{t},0.0,0.0,0.0,0.0,0.0\r\n" for t in ("0.0", "0.1", "0.2", "0.3"))
+    path.write_text("t,lambda,F,G,f,g\r\n" + rows, newline="")
+    message = re.escape(f"{path}: t[3] = 0.3 is not 3 * dt = 0.30000000000000004")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Trajectory.from_csv(path)
+    path.write_text("time,lambda,F,G,f,g\r\n" + rows, newline="")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unexpected CSV header"):
         Trajectory.from_csv(path)
 
 
@@ -135,7 +142,7 @@ def _reference_volumes(sim: LtmSimulation) -> tuple[float, float]:
 
 def test_ltm_volumes_equal_the_reference_formula_at_every_step():
     """A congested run from nonzero content, so the virtual-seed history is read for the first steps."""
-    sim = LtmSimulation(loaded(STANDARD, 75.0), dt=0.005)
+    sim = LtmSimulation(STANDARD._replace(initial=75.0), dt=0.005)
     seeded = queued = full = 0
     for i in range(600):
         queue, vacancy = _ref_queue_and_vacancy(sim)
@@ -328,7 +335,7 @@ LINK_RATE = st.sampled_from((0.0, 2250.0, 4000.0)) | st.floats(0.0, 5000.0)
     rates=st.lists(st.tuples(LINK_RATE, LINK_RATE), min_size=1, max_size=40),
 )
 def test_lqm_step_matches_the_min_max_form(initial, dt, rates):
-    sim = LqmSimulation(loaded(STANDARD, initial), dt)
+    sim = LqmSimulation(STANDARD._replace(initial=initial), dt)
     arrivals, departures = initial, 0.0
     for delta, sigma in rates:
         content = sim.arrivals - sim.departures
@@ -341,7 +348,7 @@ def test_lqm_step_matches_on_every_tie():
     """Empty and full links against zero and capacity-level rates of either sign."""
     rates = (0.0, -0.0, 0, STANDARD.capacity, 2250)
     for initial, delta, sigma in product((0.0, -0.0, 75.0, STANDARD.storage), rates, rates):
-        sim = LqmSimulation(loaded(STANDARD, initial), 0.01)
+        sim = LqmSimulation(STANDARD._replace(initial=initial), 0.01)
         got = sim.step(delta, sigma)
         *_, inflow, outflow = _ref_lqm_step(initial, 0.0, STANDARD, 0.01, delta, sigma)
         _same(got, (inflow, outflow))
@@ -351,7 +358,7 @@ def test_ltm_step_matches_on_every_tie():
     """Empty and full links against zero rates of either sign, within and past dt <= T1."""
     rates = (0.0, -0.0, 0, 2250.0)
     for dt, initial, delta, sigma in product((0.005, 0.05), (0.0, -0.0, 75.0, STANDARD.storage), rates, rates):
-        sim = LtmSimulation(loaded(STANDARD, initial), dt)
+        sim = LtmSimulation(STANDARD._replace(initial=initial), dt)
         for _ in range(4):
             demand, supply = _reference_volumes(sim)
             queue, _ = _ref_queue_and_vacancy(sim)

@@ -17,7 +17,7 @@ from pqsim import (
     sine_floor,
 )
 from pqsim.scenario import simulate_model, validate_model
-from link_runs import loaded, next_step_volumes, replay_link
+from link_runs import next_step_volumes, replay_link
 from point_runs import per_step, run_steps
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
@@ -33,23 +33,24 @@ class TestLqmDemandSupply:
 
     def test_full_link(self):
         """rho = storage: d = min(150 * 60, 2250) = capacity, s = 0."""
-        sim = LqmSimulation(loaded(STANDARD, STANDARD.storage), dt=0.01)
+        sim = LqmSimulation(STANDARD._replace(initial=STANDARD.storage), dt=0.01)
         assert sim.step(math.inf, math.inf) == (0.0, STANDARD.capacity * 0.01)
 
     def test_half_full(self):
         """rho = 75: d = min(75*60, 2250) = 2250, s = min(75*20, 2250) = 1500."""
-        assert LqmSimulation(loaded(STANDARD, 75.0), dt=0.01).step(math.inf, math.inf) == (1500.0 * 0.01, 2250.0 * 0.01)
+        sim = LqmSimulation(STANDARD._replace(initial=75.0), dt=0.01)
+        assert sim.step(math.inf, math.inf) == (1500.0 * 0.01, 2250.0 * 0.01)
 
     def test_domain_error(self):
         for content in (-1.0, 151.0):
             with pytest.raises(ValueError, match=r"initial must lie in \[0, 150\]"):
-                loaded(STANDARD, content)
+                STANDARD._replace(initial=content)
 
 
 class TestLqmStep:
     def test_hand_update(self):
         """rho=75, delta=1000, sigma=1200: in = min(1000,1500)*dt, out = min(2250,1200)*dt."""
-        sim = LqmSimulation(loaded(STANDARD, 75.0), dt=0.01)
+        sim = LqmSimulation(STANDARD._replace(initial=75.0), dt=0.01)
         fin, fout = sim.step(1000, 1200)
         assert fin == pytest.approx(10.0)
         assert fout == pytest.approx(12.0)
@@ -57,7 +58,7 @@ class TestLqmStep:
 
     def test_conservation(self):
         rng = random.Random(3)
-        sim = LqmSimulation(loaded(STANDARD, 20.0), dt=0.01)
+        sim = LqmSimulation(STANDARD._replace(initial=20.0), dt=0.01)
         total_in, total_out = 0.0, 0.0
         for _ in range(200):
             fin, fout = sim.step(rng.uniform(0, 4000), rng.uniform(0, 4000))
@@ -117,7 +118,7 @@ class TestLtmBoundary:
         assert supply == pytest.approx(STANDARD.capacity * 0.01)
 
     def test_full_link_has_no_supply(self):
-        sim = LtmSimulation(loaded(STANDARD, STANDARD.storage), dt=0.01)
+        sim = LtmSimulation(STANDARD._replace(initial=STANDARD.storage), dt=0.01)
         _, _, supply = next_step_volumes(sim)
         assert supply == pytest.approx(0.0)
 
@@ -150,7 +151,7 @@ class TestLtmBoundary:
 
     def test_content_invariants(self):
         """G <= F <= G + storage along a saturated run."""
-        sim = LtmSimulation(loaded(STANDARD, 75.0), dt=0.005)
+        sim = LtmSimulation(STANDARD._replace(initial=75.0), dt=0.005)
         for i in range(600):
             sim.step(4000 if i < 300 else 0, 500)
             assert sim.departures <= sim.arrivals + 1e-9
@@ -160,11 +161,11 @@ class TestLtmBoundary:
 
     def test_initial_content_seeds_demand(self):
         """A preloaded link releases its initial content at rate content/T1."""
-        sim = LtmSimulation(loaded(STANDARD, 60.0), dt=0.01)
+        sim = LtmSimulation(STANDARD._replace(initial=60.0), dt=0.01)
         _, demand, _ = next_step_volumes(sim)
         # 60 veh / T1 = 3600 vph exceeds capacity 2250, so capacity binds.
         assert demand == pytest.approx(STANDARD.capacity * 0.01)
-        sim2 = LtmSimulation(loaded(STANDARD, 30.0), dt=0.01)
+        sim2 = LtmSimulation(STANDARD._replace(initial=30.0), dt=0.01)
         _, demand2, _ = next_step_volumes(sim2)
         assert demand2 == pytest.approx(30.0 / STANDARD.free_flow_time * 0.01)  # 1800 vph
 
@@ -226,7 +227,8 @@ def link_scenarios(draw):
         wave_speed=draw(st.floats(10.0, 40.0)),
         jam_density=draw(st.floats(100.0, 200.0)),
     )
-    params = loaded(params, draw(st.sampled_from((0.0, params.storage)) | st.floats(0.0, params.storage)))
+    initial = draw(st.sampled_from((0.0, params.storage)) | st.floats(0.0, params.storage))
+    params = params._replace(initial=initial)
     unsafe = draw(st.booleans())
     if unsafe:  # past the step bound: the one-step-later reads look past the present
         dt = draw(st.floats(1.01, 4.0)) * draw(st.sampled_from((params.free_flow_time, params.wave_time)))

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from pqsim import LinkParams, LqmSimulation, QueueSpec
-from link_runs import loaded
 
 STANDARD = LinkParams(length=1, lanes=1, free_flow_speed=60, wave_speed=20, jam_density=150)
 
@@ -19,7 +18,8 @@ def triangular_flow(params: LinkParams, density: float) -> float:
     unlimited feed and service one step carries min(inflow, outflow) = q(k) * dt.
     """
     dt = 0.01
-    inflow, outflow = LqmSimulation(loaded(params, density * params.length), dt).step(math.inf, math.inf)
+    sim = LqmSimulation(params._replace(initial=density * params.length), dt)
+    inflow, outflow = sim.step(math.inf, math.inf)
     return min(inflow, outflow) / dt
 
 

@@ -6,7 +6,8 @@ The frozen records are ``collections.namedtuple`` subclasses; the mutable
 table pins, per public type: field names and order, defaults, equality,
 hashing (``RunReport`` is frozen but holds dicts, so it has none), that
 assigning a field of a frozen record raises ``AttributeError``, the
-``Name(field=...)`` repr, and every constructor check.
+``Name(field=...)`` repr, and every constructor check, which a named
+tuple's ``_replace`` and ``_make`` run too.
 """
 
 import inspect
@@ -38,7 +39,7 @@ from pqsim import (
 from pqsim.scenario import ModelSpec
 
 ROOT = Path(__file__).resolve().parents[1]
-NAN = math.nan
+NAN, INF = math.nan, math.inf
 QUEUE = QueueSpec(200.0)
 COLUMN = [0.0]
 
@@ -73,12 +74,14 @@ RECORDS = [
         "capacity initial",
         {"initial": 0.0},
         bad=[
-            ((0.0,), "capacity must be positive or None"),
-            ((10.0, -1.0), "initial content must be nonnegative"),
+            ((0.0,), "capacity must be positive and finite, or None"),
+            ((10.0, -1.0), "initial content must be nonnegative and finite"),
             ((10.0, 11.0), "initial content 11.0 exceeds capacity 10.0"),
-            ((None, -1.0), "initial content must be nonnegative"),
-            ((NAN,), "capacity must be positive or None"),
-            ((200.0, NAN), "initial content must be nonnegative"),
+            ((None, -1.0), "initial content must be nonnegative and finite"),
+            ((NAN,), "capacity must be positive and finite, or None"),
+            ((INF,), "capacity must be positive and finite, or None"),
+            ((200.0, NAN), "initial content must be nonnegative and finite"),
+            ((None, INF), "initial content must be nonnegative and finite"),
         ],
     ),
     _record(
@@ -87,9 +90,9 @@ RECORDS = [
         "length lanes free_flow_speed wave_speed jam_density initial",
         {"initial": 0.0},
         bad=[
-            (tuple(bad if j == i else 1.0 for j in range(5)), f"{name} must be strictly positive")
+            (tuple(bad if j == i else 1.0 for j in range(5)), f"{name} must be positive and finite")
             for i, name in enumerate(("length", "lanes", "free_flow_speed", "wave_speed", "jam_density"))
-            for bad in (0.0, NAN)
+            for bad in (0.0, -1.0, NAN, INF)
         ]
         + [
             ((1.0, 2.0, 60.0, 20.0, 150.0, bad), re.escape(f"initial must lie in [0, 300] (got {bad:g})"))
@@ -165,6 +168,13 @@ def test_record_contract(cls, args, fields, defaults, frozen, hashable, bad):
     for bad_args, message in bad:
         with pytest.raises(ValueError, match=message):
             cls(*bad_args)
+    if hasattr(cls, "_replace"):
+        assert record._replace() == record and type(cls._make(record)) is cls
+        for bad_args, message in bad:
+            with pytest.raises(ValueError, match=message):
+                record._replace(**dict(zip(fields, bad_args)))
+            with pytest.raises(ValueError, match=message):
+                cls._make(bad_args)
 
 
 def test_cached_values_read_as_plain_attributes():

@@ -11,6 +11,7 @@ leave nothing to compare.
 
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -93,29 +94,51 @@ def test_convergence_computes_no_stats(monkeypatch):
     assert [row["dt"] for row in rows] == [0.01, 0.005] and all(row["max_distance"] > 0 for row in rows)
 
 
+class _Sampled(list):
+    """A rate list that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
 @pytest.mark.parametrize("path, model", [(RELAXED, "pqm1"), (LINK_SCENARIO, "ltm")], ids=["pqm1", "ltm"])
-def test_one_model_run_keeps_five_columns_and_no_rate_list(path, model):
-    """What a run keeps is its five stored columns: the rate lists go when the loop ends.
+def test_one_model_run_keeps_five_columns_and_no_rate_list(path, model, monkeypatch):
+    """What a run keeps is its five stored columns, and its rate lists are gone before its trajectory is built.
 
     The kept memory is the five lists and their floats, to within half a
-    list of pointers; a rate list that outlived the loop would add at
-    least a whole one.  During the loop the rate lists live beside the
-    growing columns, so the peak tops what is kept by about one column.
+    list of pointers; a rate list kept past the call would add at least a
+    whole one.  A rate list alive after the loop, while the run converts
+    its columns, shows as a live weak reference when the trajectory is built.
     """
     scenario = load_scenario(path).with_overrides(model=model, dt=1e-4, horizon=0.5)
     simulate_model(scenario)
     tracemalloc.start()
     try:
         (traj,) = simulate_model(scenario)
-        kept, peak = tracemalloc.get_traced_memory()
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     columns = [traj.queue, traj.arrivals, traj.departures, traj.inflow_rate, traj.outflow_rate]
     floats = {id(x): x for column in columns for x in column}.values()
     footprint = sum(map(sys.getsizeof, columns)) + sum(map(sys.getsizeof, floats))
-    n = len(traj)
-    assert n == 5000 and kept < footprint + 8 * n / 2
-    assert peak - kept < 1.5 * kept / 5
+    assert len(traj) == 5000 and kept < footprint + 8 * len(traj) / 2
+
+    sampled, alive = [], []
+    for cls in (Constant, PiecewiseConstant, SineFloor):
+
+        def spy(self, n, dt, original=cls.rates_on_grid):
+            rates = _Sampled(original(self, n, dt))
+            sampled.append(weakref.ref(rates))
+            return rates
+
+        monkeypatch.setattr(cls, "rates_on_grid", spy)
+
+    def init(self, *args, original=Trajectory.__init__):
+        alive.append(sum(ref() is not None for ref in sampled))
+        original(self, *args)
+
+    monkeypatch.setattr(Trajectory, "__init__", init)
+    assert simulate_model(scenario) == [traj]
+    assert len(sampled) == 2 and alive == [0]
 
 
 @pytest.mark.parametrize(
