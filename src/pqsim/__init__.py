@@ -12,74 +12,25 @@ junction rule (flux = min of upstream demand and downstream supply):
 * closed-form bottleneck solutions and stationary-state solvers;
 * tandems of point queues with spillback;
 * a scenario CLI (``pqsim``) that runs all of the above and emits CSV.
+
+Each module's ``__all__`` is the one list of its public names, and the
+package re-exports them all; helpers outside those lists, such as
+``scenario.check_grid`` and ``trajectory.CSV_COLUMNS``, stay in their modules.
 """
 
-from .analytical import (
-    StationaryResult,
-    VickreySolution,
-    stationary_eps,
-    stationary_exact,
-    vickrey_closed_form,
-)
-from .errors import PqsimError, ScenarioError, ValidationError
-from .link_models import LqmSimulation, LtmSimulation
-from .links import LinkParams, QueueSpec
-from .network import TandemQueue, TandemSpec, step_tandem
-from .point_queue import Formulation, PqModel, well_definedness_bound
-from .profiles import (
-    Constant,
-    PiecewiseConstant,
-    Profile,
-    SineFloor,
-    sine_floor,
-)
-from .scenario import (
-    RunReport,
-    Scenario,
-    convergence_table,
-    load_scenario,
-    profile_from_dict,
-    run_scenario,
-    scenario_from_dict,
-    simulate_model,
-)
-from .trajectory import Trajectory, TrajectoryStats, sup_distance
+from .analytical import *
+from .errors import *
+from .link_models import *
+from .links import *
+from .network import *
+from .point_queue import *
+from .profiles import *
+from .scenario import *
+from .trajectory import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Constant",
-    "Formulation",
-    "LinkParams",
-    "LqmSimulation",
-    "LtmSimulation",
-    "PiecewiseConstant",
-    "PqModel",
-    "PqsimError",
-    "Profile",
-    "QueueSpec",
-    "RunReport",
-    "Scenario",
-    "ScenarioError",
-    "SineFloor",
-    "StationaryResult",
-    "TandemQueue",
-    "TandemSpec",
-    "Trajectory",
-    "TrajectoryStats",
-    "ValidationError",
-    "VickreySolution",
-    "convergence_table",
-    "load_scenario",
-    "profile_from_dict",
-    "run_scenario",
-    "scenario_from_dict",
-    "simulate_model",
-    "sine_floor",
-    "stationary_eps",
-    "stationary_exact",
-    "step_tandem",
-    "sup_distance",
-    "vickrey_closed_form",
-    "well_definedness_bound",
-]
+__all__ = (
+    analytical.__all__ + errors.__all__ + link_models.__all__ + links.__all__ + network.__all__
+    + point_queue.__all__ + profiles.__all__ + scenario.__all__ + trajectory.__all__
+)

@@ -1,5 +1,7 @@
 """Error types shared across the package, and the ``_make`` of the records that check their fields."""
 
+__all__ = ["PqsimError", "ScenarioError", "ValidationError"]
+
 
 class PqsimError(Exception):
     """Base class for errors raised by this package."""

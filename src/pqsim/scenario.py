@@ -69,7 +69,6 @@ __all__ = [
     "load_scenario",
     "scenario_from_dict",
     "profile_from_dict",
-    "check_grid",
     "simulate_model",
     "run_scenario",
     "convergence_table",

@@ -9,17 +9,19 @@ columns are exactly ``t, lambda, F, G, f, g`` with units hr, veh, veh,
 veh, veh/hr, veh/hr.  Floats are written with ``repr`` so files are
 byte-identical across runs and parse back to the same doubles, which makes
 summary statistics exactly recomputable from the file; ``from_csv`` takes
-dt from the ``t`` column and rejects a file whose ``t`` is not ``i * dt``.
+dt from the ``t`` column and rejects, naming the file, a row that is not
+six numbers and a ``t`` that is not ``i * dt``.
 """
 
 from __future__ import annotations
 
 import operator
+import reprlib
 from collections import namedtuple
 from itertools import repeat, starmap
 from pathlib import Path
 
-__all__ = ["Trajectory", "TrajectoryStats", "sup_distance", "CSV_COLUMNS"]
+__all__ = ["Trajectory", "TrajectoryStats", "sup_distance"]
 
 CSV_COLUMNS = ("t", "lambda", "F", "G", "f", "g")
 
@@ -112,9 +114,12 @@ class Trajectory:
             if header != CSV_COLUMNS:
                 raise ValueError(f"{path}: unexpected CSV header {header!r}, want {CSV_COLUMNS!r}")
             times, *columns = cols = [[] for _ in CSV_COLUMNS]
-            for row in reader:
-                for col, cell in zip(cols, row):
-                    col.append(float(cell))
+            for i, row in enumerate(reader):
+                try:
+                    for col, cell in zip(cols, row, strict=True):
+                        col.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"{path}: row {i} is not {len(cols)} numbers: {reprlib.repr(row)}") from None
         dt = times[1] if len(times) > 1 else 0.0
         bad = next((i for i, t in enumerate(times) if t != i * dt), None)
         if bad is not None:

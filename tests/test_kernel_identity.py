@@ -95,6 +95,23 @@ def test_csv_whose_t_is_not_i_times_dt_is_rejected_naming_the_file(tmp_path):
         Trajectory.from_csv(path)
 
 
+@pytest.mark.parametrize(
+    "rows, bad_row",
+    [
+        ("0.0,1.0,2.0,3.0,4.0,5.0,99\r\n", 0),
+        ("0.0,1.0,2.0,3.0,4.0,5.0\r\n0.1,1.0,2.0\r\n", 1),
+        ("0.0,x,2.0,3.0,4.0,5.0\r\n", 0),
+    ],
+    ids=["extra_cell", "short_row", "not_a_number"],
+)
+def test_csv_row_that_is_not_six_numbers_is_rejected_naming_the_file_and_row(tmp_path, rows, bad_row):
+    """A seventh cell, a short row and a cell that is not a number each raise, naming the file and the row."""
+    path = tmp_path / "bad.csv"
+    path.write_text("t,lambda,F,G,f,g\r\n" + rows, newline="")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: row {bad_row} is not 6 numbers')}"):
+        Trajectory.from_csv(path)
+
+
 def _ref_interp(sim: LtmSimulation, series: list[float], s: float) -> float:
     pos = s / sim.dt
     j = int(pos)

@@ -1,9 +1,11 @@
 """Tests for scenario parsing, validation, runners, CSV output and the CLI."""
 
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -474,6 +476,20 @@ def test_public_names_are_pinned():
         "run_scenario", "scenario_from_dict", "simulate_model", "sine_floor", "stationary_eps",
         "stationary_exact", "step_tandem", "sup_distance", "vickrey_closed_form", "well_definedness_bound",
     ])
+
+
+def test_each_public_name_is_declared_once_by_its_own_module():
+    """A name of ``pqsim.__all__`` is in exactly one module's ``__all__``, defined there; ``import *`` binds just those."""
+    modules = [importlib.import_module(f"pqsim.{info.name}") for info in pkgutil.iter_modules(pqsim.__path__)]
+    for name in pqsim.__all__:
+        owners = [module for module in modules if name in getattr(module, "__all__", ())]
+        assert len(owners) == 1, (name, owners)
+        obj = getattr(owners[0], name)
+        assert getattr(pqsim, name) is obj and obj.__module__ == owners[0].__name__, name
+    assert sorted(name for module in modules for name in getattr(module, "__all__", ())) == sorted(pqsim.__all__)
+    namespace = {}
+    exec("from pqsim import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(pqsim.__all__)
 
 
 CONSTANT = dict(BASE, demand={"type": "constant", "rate": 1000}, horizon=1.0)
