@@ -15,7 +15,7 @@ junction rule (flux = min of upstream demand and downstream supply):
 
 Each module's ``__all__`` is the one list of its public names, and the
 package re-exports them all; helpers outside those lists, such as
-``scenario.check_grid`` and ``trajectory.CSV_COLUMNS``, stay in their modules.
+``scenario.MAX_STEPS`` and ``trajectory.CSV_COLUMNS``, stay in their modules.
 """
 
 from .analytical import *

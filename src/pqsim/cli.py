@@ -22,7 +22,6 @@ from .scenario import (
     MODELS,
     RunReport,
     Scenario,
-    check_grid,
     convergence_table,
     load_scenario,
     run_scenario,
@@ -105,7 +104,6 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_vickrey(args) -> int:
     scenario = _apply_overrides(load_scenario(args.scenario), args)
-    check_grid(scenario)
     initial = scenario.queue.initial if scenario.queue is not None else 0.0
     if initial != 0:
         raise ValidationError(f"{scenario.source}: the closed form needs field 'queue.initial' = 0 (got {initial:g})")

@@ -31,16 +31,16 @@ per queue for a tandem, so every model runs through the same path.  The
 models of one call share one sampling of the rates (``_Grid``); each
 trajectory stores dt and five columns, and derives its times as i * dt.
 
-Every run validates the grid (dt, horizon, a whole number of at most
-``MAX_STEPS`` steps) and the relevant admissibility bound first and
-reports the violated bound by name; ``unsafe`` skips only those bound
-checks, never structural ones.  Runs are deterministic: identical
-scenarios produce byte-identical CSV files.
-
-``Scenario``, like most of the package's frozen records, is a
-``collections.namedtuple`` subclass: compared and hashed by value, checked
-in ``__new__`` where it has checks (``_replace`` and ``_make`` run them
-too), and cheap to create on import, which every CLI process pays for.
+``Scenario``, like the package's other frozen records, is a
+``collections.namedtuple`` subclass, compared and hashed by value and cheap
+to create on import, which every CLI process pays for.  Its ``__new__``
+checks every field, and ``_replace``, ``_make`` and ``with_overrides`` run
+it too: a type error is worded as ``_field`` words it, and the grid must be
+sound (dt, horizon and epsilon positive and finite, the horizon a whole
+number of at most ``MAX_STEPS`` steps).  Every run then checks the fields
+its model needs and its admissibility bound, reporting a violated bound by
+name; ``unsafe`` skips only the bounds, never a structural check.  Runs are
+deterministic: identical scenarios produce byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from operator import add, truediv
 from pathlib import Path
 
 from . import approx, link_models, point_queue
-from .errors import ScenarioError, ValidationError
+from .errors import ScenarioError, ValidationError, checked_make
 from .links import LinkParams, QueueSpec
 from .network import TandemQueue, TandemSpec, step_tandem
 from .point_queue import Formulation, PqModel, _violated_bound
@@ -75,16 +75,55 @@ __all__ = [
 ]
 
 
+# The step and time fields a run cannot start without, and the CLI flag that overrides each.
+_POSITIVE = {"dt": "--dt/--dt-list", "horizon": "--horizon", "epsilon": "--eps"}
+# Most steps one run may take: 50 times the 2e5 steps of the longest acceptance runs.
+MAX_STEPS = 10**7
+# The other fields and their kinds, as ``_field`` reads them; a field a model can need (``_NEEDS``) may be None.
+_KINDS = {"demand": Profile, "supply": Profile, "queue": QueueSpec, "link": LinkParams, "tandem": TandemSpec,
+          "formulation": Formulation, "unsafe": bool}
+
+
 class Scenario(
-    namedtuple(
-        "Scenario",
-        "model demand supply dt horizon queue link tandem epsilon formulation unsafe source",
-        defaults=(None, None, None, None, Formulation.QUEUE, False, "<scenario>"),
-    )
+    namedtuple("Scenario", "model demand supply dt horizon queue link tandem epsilon formulation unsafe source")
 ):
     """A parsed scenario; ``queue``, ``link``, ``tandem`` and ``epsilon`` are None when absent."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(
+        cls, model, demand, supply, dt, horizon, queue=None, link=None, tandem=None, epsilon=None,
+        formulation=Formulation.QUEUE, unsafe=False, source="<scenario>",
+    ):
+        self = super().__new__(
+            cls, model, demand, supply, dt, horizon, queue, link, tandem, epsilon, formulation, unsafe, source
+        )
+        fields, top = dict(zip(cls._fields, self)), (source, "")
+        _one_of(_field(fields, "model", str, top).lower(), MODELS, "model", top)
+        for name, kind in _KINDS.items():
+            if not isinstance(fields[name], kind) and (fields[name] is not None or name not in _NEEDS):
+                _field(fields, name, kind, top)  # raises, naming the field
+        # The grid, checked before anything is allocated.  Structural, not a bound: ``unsafe`` does
+        # not skip it.  A JSON scenario cannot hold NaN or infinity, but the CLI overrides can.
+        for name, flag in _POSITIVE.items():
+            value = fields[name]
+            if type(value) not in (int, float) and not (value is None and name in _NEEDS):  # a bool is an int
+                _field(fields, name, float, top)  # raises, naming the field
+            if value is not None and not 0 < value < math.inf:
+                raise ValidationError(
+                    f"{source}: {name} must be positive and finite (got {value!r}; set by field '{name}' or {flag})"
+                )
+        steps = horizon / dt
+        if steps > MAX_STEPS:
+            problem = f"horizon/dt = {horizon:g}/{dt:g} exceeds {MAX_STEPS} steps"
+        elif abs(round(steps) * dt - horizon) > 1e-9 * horizon:
+            problem = f"horizon {horizon:g} hr is not a whole number of steps dt = {dt:g} hr"
+        else:
+            return self
+        raise ValidationError(
+            f"{source}: {problem} (set by fields 'dt' and 'horizon', or {_POSITIVE['dt']} and {_POSITIVE['horizon']})"
+        )
 
     def with_overrides(self, **kwargs) -> "Scenario":
         return self._replace(**{k: v for k, v in kwargs.items() if v is not None})
@@ -163,7 +202,7 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{source}: scenario must be a JSON object")
     top = (source, "")
-    model = _one_of(_field(doc, "model", str, top).lower(), MODEL_NAMES, "model", top)
+    model = _field(doc, "model", object, top)  # Scenario checks the value, worded alike
     demand = profile_from_dict(_field(doc, "demand", dict, top), (source, "demand"))
     supply = profile_from_dict(_field(doc, "supply", dict, top), (source, "supply"))
     dt, horizon = _field(doc, "dt", float, top), _field(doc, "horizon", float, top)
@@ -186,17 +225,16 @@ def scenario_from_dict(doc: dict, source: str = "<scenario>") -> Scenario:
     formulation = _field(doc, "formulation", str, top, required=False, default="A").upper()
     formulation = Formulation(_one_of(formulation, ("A", "B"), "formulation", top))
     epsilon = _field(doc, "epsilon", float, top, required=False)
-    unsafe = _field(doc, "unsafe", bool, top, required=False, default=False)
-    return Scenario(  # in the order of its fields
-        model, demand, supply, dt, horizon, queue, link, tandem, epsilon, formulation, unsafe, source
+    return Scenario(  # in the order of its fields; Scenario checks "unsafe", worded alike
+        model, demand, supply, dt, horizon, queue, link, tandem, epsilon, formulation, doc.get("unsafe", False), source
     )
 
 
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from None
     try:
         doc = json.loads(text)
@@ -205,40 +243,6 @@ def load_scenario(path: str | Path) -> Scenario:
     except (ValueError, RecursionError) as exc:  # an integer past Python's digit limit; arrays nested too deep
         raise ScenarioError(f"{path}: {exc}") from None
     return scenario_from_dict(doc, source=str(path))
-
-
-# The step and time fields a run cannot start without, and the CLI flag that overrides each.
-_POSITIVE = {"dt": "--dt/--dt-list", "horizon": "--horizon", "epsilon": "--eps"}
-# Most steps one run may take: 50 times the 2e5 steps of the longest acceptance runs.
-MAX_STEPS = 10**7
-
-
-def check_grid(scenario: Scenario) -> None:
-    """Raise unless the run's grid is sound.
-
-    dt, horizon and (when set) epsilon must be positive and finite, and the
-    horizon a whole number of at most ``MAX_STEPS`` steps, checked before
-    anything is allocated.  Structural, not a bound: ``unsafe`` does not
-    skip it.  A JSON scenario cannot hold NaN or infinity, but the CLI
-    overrides can.
-    """
-    for name, flag in _POSITIVE.items():
-        value = getattr(scenario, name)
-        if value is not None and not 0 < value < math.inf:
-            raise ValidationError(
-                f"{scenario.source}: {name} must be positive and finite (got {value!r}; set by field '{name}' or {flag})"
-            )
-    dt, horizon = scenario.dt, scenario.horizon
-    steps = horizon / dt
-    if steps > MAX_STEPS:
-        problem = f"horizon/dt = {horizon:g}/{dt:g} exceeds {MAX_STEPS} steps"
-    elif abs(round(steps) * dt - horizon) > 1e-9 * horizon:
-        problem = f"horizon {horizon:g} hr is not a whole number of steps dt = {dt:g} hr"
-    else:
-        return
-    raise ValidationError(
-        f"{scenario.source}: {problem} (set by fields 'dt' and 'horizon', or {_POSITIVE['dt']} and {_POSITIVE['horizon']})"
-    )
 
 
 # How a missing-field message words each Scenario field a model can need.
@@ -461,14 +465,12 @@ MODELS: dict[str, ModelSpec] = {
     "vickrey": ModelSpec((), None, _run_vickrey, exact=True),
     "tandem": ModelSpec(("tandem",), _check_tandem, _run_tandem, _tandem_notes),
 }
-MODEL_NAMES = tuple(MODELS)
 
 
 def validate_model(scenario: Scenario, model_name: str) -> None:
-    """Check the grid, the fields a model needs and, unless ``unsafe``, its admissibility bound."""
-    name = _one_of(model_name.lower(), MODEL_NAMES, "model", (scenario.source, ""), ValidationError)
+    """Check the fields a model needs and, unless ``unsafe``, its admissibility bound; ``Scenario`` checked the grid."""
+    name = _one_of(model_name.lower(), MODELS, "model", (scenario.source, ""), ValidationError)
     spec = MODELS[name]
-    check_grid(scenario)
     for need in spec.needs:
         if getattr(scenario, need) is None:
             raise ValidationError(f"{scenario.source}: model {name!r} needs {_NEEDS[need]}")

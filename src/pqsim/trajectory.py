@@ -9,8 +9,9 @@ columns are exactly ``t, lambda, F, G, f, g`` with units hr, veh, veh,
 veh, veh/hr, veh/hr.  Floats are written with ``repr`` so files are
 byte-identical across runs and parse back to the same doubles, which makes
 summary statistics exactly recomputable from the file; ``from_csv`` takes
-dt from the ``t`` column and rejects, naming the file, a row that is not
-six numbers and a ``t`` that is not ``i * dt``.
+dt from the ``t`` column and rejects, naming the file, bytes that are not
+text, fewer than two rows, a row that is not six numbers and a ``t`` that
+is not ``i * dt``.
 """
 
 from __future__ import annotations
@@ -108,19 +109,24 @@ class Trajectory:
         import csv  # here, not at module top: only reading a CSV back needs it
 
         path = Path(path)
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader))
-            if header != CSV_COLUMNS:
-                raise ValueError(f"{path}: unexpected CSV header {header!r}, want {CSV_COLUMNS!r}")
-            times, *columns = cols = [[] for _ in CSV_COLUMNS]
-            for i, row in enumerate(reader):
-                try:
-                    for col, cell in zip(cols, row, strict=True):
-                        col.append(float(cell))
-                except ValueError:
-                    raise ValueError(f"{path}: row {i} is not {len(cols)} numbers: {reprlib.repr(row)}") from None
-        dt = times[1] if len(times) > 1 else 0.0
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = tuple(next(reader))
+                if header != CSV_COLUMNS:
+                    raise ValueError(f"{path}: unexpected CSV header {header!r}, want {CSV_COLUMNS!r}")
+                times, *columns = cols = [[] for _ in CSV_COLUMNS]
+                for i, row in enumerate(reader):
+                    try:
+                        for col, cell in zip(cols, row, strict=True):
+                            col.append(float(cell))
+                    except ValueError:
+                        raise ValueError(f"{path}: row {i} is not {len(cols)} numbers: {reprlib.repr(row)}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if len(times) < 2:
+            raise ValueError(f"{path}: fewer than two rows (got {len(times)}); dt is read from the second row's t")
+        dt = times[1]
         bad = next((i for i, t in enumerate(times) if t != i * dt), None)
         if bad is not None:
             raise ValueError(f"{path}: t[{bad}] = {times[bad]!r} is not {bad} * dt = {bad * dt!r}")

@@ -112,6 +112,22 @@ def test_csv_row_that_is_not_six_numbers_is_rejected_naming_the_file_and_row(tmp
         Trajectory.from_csv(path)
 
 
+def test_csv_with_fewer_than_two_rows_is_rejected_naming_the_file(tmp_path):
+    """dt is the second row's t: a one-row file and a header-only file each raise instead of reading dt as 0."""
+    one_row = Trajectory("one", 0.1, *([1.0] for _ in range(5))).write_csv(tmp_path / "one.csv")
+    header_only = Trajectory("none", 0.1, [], [], [], [], []).write_csv(tmp_path / "none.csv")
+    for path, rows in ((one_row, 1), (header_only, 0)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: fewer than two rows (got {rows})')}"):
+            Trajectory.from_csv(path)
+
+
+def test_csv_bytes_that_are_not_utf8_name_the_file(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"t,lambda,F,G,f,g\r\n0.0,\xff,0.0,0.0,0.0,0.0\r\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: ')}'utf-8' codec can't decode byte 0xff"):
+        Trajectory.from_csv(path)
+
+
 def _ref_interp(sim: LtmSimulation, series: list[float], s: float) -> float:
     pos = s / sim.dt
     j = int(pos)

@@ -36,12 +36,18 @@ from pqsim import (
     TrajectoryStats,
     VickreySolution,
 )
-from pqsim.scenario import ModelSpec
+from pqsim.scenario import MAX_STEPS, ModelSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 NAN, INF = math.nan, math.inf
 QUEUE = QueueSpec(200.0)
 COLUMN = [0.0]
+
+
+def _scenario(**changes) -> tuple:
+    """All twelve arguments of the ``Scenario`` row below, with ``changes``."""
+    valid = Scenario("pqm1", Constant(1.0), Constant(2.0), 0.1, 1.0)
+    return tuple({**valid._asdict(), **changes}.values())
 
 
 def _record(cls, args, fields, defaults=None, frozen=True, bad=(), hashable=None):
@@ -67,6 +73,28 @@ RECORDS = [
             "unsafe": False,
             "source": "<scenario>",
         },
+        bad=[
+            (_scenario(**{name: value}), message)
+            for name, value, message in (
+                ("model", "nope", "unknown model 'nope'; valid: pqm1"),
+                ("model", 5, "field 'model' must be a str"),
+                ("demand", 1000, "field 'demand' must be a Profile"),
+                ("supply", None, "field 'supply' must be a Profile"),
+                ("dt", "0.01", "field 'dt' must be a finite number"),
+                ("dt", True, "field 'dt' must be a finite number"),
+                ("horizon", None, "field 'horizon' must be a finite number"),
+                ("queue", 200, "field 'queue' must be a QueueSpec"),
+                ("link", QUEUE, "field 'link' must be a LinkParams"),
+                ("tandem", (), "field 'tandem' must be a TandemSpec"),
+                ("epsilon", 0.0, "epsilon must be positive and finite .*field 'epsilon' or --eps"),
+                ("epsilon", NAN, "epsilon must be positive and finite .*field 'epsilon' or --eps"),
+                ("epsilon", "0.1", "field 'epsilon' must be a finite number"),
+                ("formulation", "B", "field 'formulation' must be a Formulation"),
+                ("unsafe", "no", "field 'unsafe' must be a bool"),
+                ("dt", 0.3, "horizon 1 hr is not a whole number of steps .*fields 'dt' and 'horizon'"),
+                ("horizon", (MAX_STEPS + 1) * 0.1, f"exceeds {MAX_STEPS} steps .*fields 'dt' and 'horizon'"),
+            )
+        ],
     ),
     _record(
         QueueSpec,

@@ -28,7 +28,7 @@ from pqsim import (
 )
 from pqsim import cli
 from pqsim.cli import main
-from pqsim.scenario import MAX_STEPS, check_grid, convergence_table, validate_model
+from pqsim.scenario import MAX_STEPS, convergence_table, validate_model
 
 BASE = {
     "model": "pqm2",
@@ -503,9 +503,8 @@ def test_step_count_capped_before_any_allocation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"exceeds {MAX_STEPS} steps" in err and all(name in err for name in GRID_FIELDS)
     at_cap = scenario_from_dict(dict(CONSTANT, dt=1e-6, horizon=MAX_STEPS * 1e-6))
-    check_grid(at_cap)
     with pytest.raises(ValidationError, match="exceeds"):
-        check_grid(at_cap.with_overrides(horizon=(MAX_STEPS + 1) * 1e-6))
+        at_cap._replace(horizon=(MAX_STEPS + 1) * 1e-6)
 
 
 @pytest.mark.parametrize("command", ["simulate", "vickrey"])
@@ -831,6 +830,26 @@ def test_unwritable_out_dir_exits_2_naming_the_flag(tmp_path, capsys, command):
     assert main([command, str(make(tmp_path / "s.json", doc)), *extra, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: --out-dir {str(out)!r}: cannot write ")
     assert blocker.read_text() == "kept"
+
+
+def test_bytes_that_are_not_utf8_name_the_file(tmp_path, capsys):
+    """A 0xff byte cannot be decoded: exit 2 naming the file, not the codec alone."""
+    path = tmp_path / "latin.json"
+    path.write_bytes(json.dumps(BASE).encode().replace(b'"pqm2"', b'"pqm\xff"'))
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}: 'utf-8' codec can't decode byte 0xff")):
+        load_scenario(path)
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_a_file_whose_own_grid_is_unsound_fails_at_load(tmp_path, capsys):
+    """The grid is checked when the scenario is built, before any override: --dt cannot rescue the file's own dt."""
+    path = make(tmp_path / "s.json", dict(CONSTANT, dt=0.3))
+    with pytest.raises(ValidationError, match="horizon 1 hr is not a whole number of steps dt = 0.3 hr"):
+        load_scenario(path)
+    assert main(["simulate", str(path), "--dt", "0.25"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: horizon 1 hr") and all(name in err for name in GRID_FIELDS)
 
 
 def test_too_deeply_nested_json_names_the_file(tmp_path, capsys):
