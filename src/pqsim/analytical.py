@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import accumulate
+from operator import add, sub
 
 from .errors import ValidationError
 from .point_queue import PqModel, _violated_bound
@@ -103,12 +105,11 @@ def vickrey_closed_form(demand: Profile, supply: Profile, dt: float, horizon: fl
     grid = [i * dt for i in range(n + 1)]
     arrivals = [demand.cumulative(t) for t in grid]
     served = [supply.cumulative(t) for t in grid]
-    queue, departures = [], []
-    running_min = 0.0  # F(0) - S(0)
-    for f, s in zip(arrivals, served):
-        running_min = min(running_min, f - s)
-        queue.append(f - s - running_min)
-        departures.append(running_min + s)
+    gaps = list(map(sub, arrivals, served))  # F - S
+    # Its running minimum from F(0) - S(0) = 0, as min(running, gap): a tie keeps the running value.
+    minima = list(accumulate(gaps, min, initial=0.0))[1:]
+    queue = list(map(sub, gaps, minima))
+    departures = map(add, minima, served)
     waiting = None
     if isinstance(supply, Constant) and supply.rate > 0:
         waiting = tuple(q / supply.rate for q in queue)

@@ -27,7 +27,7 @@ All profiles are immutable and safe to share between concurrent runs.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
@@ -152,17 +152,9 @@ class PiecewiseConstant(namedtuple("PiecewiseConstant", "breakpoints rates"), Pr
 
     def rates_on_grid(self, n: int, dt: float) -> list[float]:
         _check_step(dt)
-        # Rate k covers the grid from the first i with i*dt >= breakpoints[k], found from ceil(b/dt) and
-        # the products as computed, so the split is rate_at's bisect exactly.
-        starts = []
-        for b in self.breakpoints[1:]:
-            q = b / dt  # may overflow: the start is at most n
-            i = n if q >= n else math.ceil(q)
-            while i > 0 and (i - 1) * dt >= b:
-                i -= 1
-            while i < n and i * dt < b:
-                i += 1
-            starts.append(i)
+        # Rate k covers the grid from the first i with i*dt >= breakpoints[k], found on the products as
+        # computed, so the split is rate_at's bisect exactly; i*dt does not decrease with i.
+        starts = [bisect_left(range(n), b, key=dt.__rmul__) for b in self.breakpoints[1:]]
         out: list[float] = []
         for rate, lo, hi in zip(self.rates, [0, *starts], [*starts, n]):
             out += [rate] * (hi - lo)

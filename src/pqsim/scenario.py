@@ -27,9 +27,10 @@ Profiles are ``{"type": ..., <its fields>}`` records (``_PROFILES``).
 ``MODELS`` is the one table of models: per name, the fields it needs, its
 admissibility check, its runner and, optionally, its report notes.  Every
 runner returns a list of trajectories: one for a point or link model, one
-per queue for a tandem, so every model runs through the same path.  The
-models of one call share one sampling of the rates (``_Grid``); each
-trajectory stores dt and five columns, and derives its times as i * dt.
+per queue for a tandem, so every model runs through the same path.  A
+call checks all its models, then hands each runner its own (delta, sigma)
+iterator over one sampling of the rates; each trajectory stores dt and
+five columns, and derives its times as i * dt.
 
 ``Scenario``, like the package's other frozen records, is a
 ``collections.namedtuple`` subclass, compared and hashed by value and cheap
@@ -37,9 +38,9 @@ to create on import, which every CLI process pays for.  Its ``__new__``
 checks every field, and ``_replace``, ``_make`` and ``with_overrides`` run
 it too: a type error is worded as ``_field`` words it, and the grid must be
 sound (dt, horizon and epsilon positive and finite, the horizon a whole
-number of at most ``MAX_STEPS`` steps).  Every run then checks the fields
-its model needs and its admissibility bound, reporting a violated bound by
-name; ``unsafe`` skips only the bounds, never a structural check.  Runs are
+number of at most ``MAX_STEPS`` steps).  Every call then checks the fields
+its models need and their admissibility bounds, reporting a violated bound
+by name; ``unsafe`` skips only the bounds, never a structural check.  Runs are
 deterministic: identical scenarios produce byte-identical CSV files.
 """
 
@@ -110,9 +111,10 @@ class Scenario(
             value = fields[name]
             if type(value) not in (int, float) and not (value is None and name in _NEEDS):  # a bool is an int
                 _field(fields, name, float, top)  # raises, naming the field
-            if value is not None and not 0 < value < math.inf:
+            if value is not None and not 0 < value <= sys.float_info.max:  # not inf: an int past the floats is below it
                 raise ValidationError(
-                    f"{source}: {name} must be positive and finite (got {value!r}; set by field '{name}' or {flag})"
+                    f"{source}: {name} must be positive and finite"
+                    f" (got {reprlib.repr(value)}; set by field '{name}' or {flag})"
                 )
         steps = horizon / dt
         if steps > MAX_STEPS:
@@ -310,29 +312,8 @@ def _largest_volumes(queues, rate, passes_on: str) -> list:
     return volumes
 
 
-class _Grid:
-    """One call's step grid: the rates, sampled once for the ``uses`` runs that share them.
-
-    ``rates(conv)`` gives (delta, sigma) at each step start, each converted
-    by ``conv`` (such as Fraction) for that run only; the lists are built
-    on first use.  The last run's ``rates`` owns them: they go when its loop ends.
-    """
-
-    __slots__ = ("scenario", "uses", "_rates")
-
-    def __init__(self, scenario: Scenario, uses: int = 1):
-        self.scenario, self.uses, self._rates = scenario, uses, None
-
-    def rates(self, conv=None):
-        s, self.uses = self.scenario, self.uses - 1
-        n = round(s.horizon / s.dt)
-        rates = self._rates or (s.demand.rates_on_grid(n, s.dt), s.supply.rates_on_grid(n, s.dt))
-        self._rates = rates if self.uses else None
-        return zip(*rates) if conv is None else zip(*(map(conv, column) for column in rates))
-
-
 def _run_point(
-    scenario: Scenario, name: str, exact: bool, grid: _Grid, model: PqModel, relaxed: bool = False
+    scenario: Scenario, name: str, exact: bool, rates, model: PqModel, relaxed: bool = False
 ) -> list[Trajectory]:
     """The point-queue loop: the state (lam, F, G) lives in locals, one junction-rule call per step."""
     queue = scenario.queue
@@ -342,6 +323,7 @@ def _run_point(
     conv = float
     if exact:  # imported here: only exact runs pay for fractions (and decimal)
         from fractions import Fraction as conv
+        rates = ((conv(delta), conv(sigma)) for delta, sigma in rates)
     cap = queue.capacity if queue.capacity is None else conv(queue.capacity)
     lam = arrivals = conv(queue.initial)
     departures = lam * 0
@@ -351,7 +333,7 @@ def _run_point(
     else:
         step, vol_dt = point_queue._step_with_volumes, conv(dt)
     queues, arrs, deps, fin, fout = [], [], [], [], []
-    for delta, sigma in grid.rates(conv if exact else None):
+    for delta, sigma in rates:
         queues.append(lam)
         arrs.append(arrivals)
         deps.append(departures)
@@ -373,26 +355,26 @@ def _run_point(
     return [Trajectory(name, dt, queues, arrs, deps, fin, fout)]
 
 
-def _run_vickrey(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
+def _run_vickrey(scenario: Scenario, name: str, exact: bool, rates) -> list[Trajectory]:
     """PQM1 with unbounded storage; a 'queue' section only sets the initial content."""
     initial = 0.0 if scenario.queue is None else scenario.queue.initial
-    return _run_point(scenario._replace(queue=QueueSpec.unbounded(initial)), name, exact, grid, PqModel.PQM1)
+    return _run_point(scenario._replace(queue=QueueSpec.unbounded(initial)), name, exact, rates, PqModel.PQM1)
 
 
-def _run_link(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
-    """One kernel call runs the grid, in floats only; the F and G columns are its histories less the final entry."""
+def _run_link(scenario: Scenario, name: str, exact: bool, rates) -> list[Trajectory]:
+    """One kernel call runs every step, in floats only; the F and G columns are its histories less the final entry."""
     dt, link = scenario.dt, scenario.link
     arrs, deps = [link.initial], [0.0]
     # Looked up at run time, so a wrapper set on the module is seen.
     advance = link_models._ltm_advance if name == "ltm" else link_models._lqm_advance
-    queues, fin, fout = advance(link, dt, arrs, deps, grid.rates())
+    queues, fin, fout = advance(link, dt, arrs, deps, rates)
     del arrs[-1], deps[-1]
     fin = list(map(truediv, fin, repeat(dt)))
     fout = list(map(truediv, fout, repeat(dt)))
     return [Trajectory(name, dt, queues, arrs, deps, fin, fout)]
 
 
-def _run_tandem(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list[Trajectory]:
+def _run_tandem(scenario: Scenario, name: str, exact: bool, rates) -> list[Trajectory]:
     """The tandem loop: each queue's F and G live in locals, one step call per step; it runs in floats only."""
     spec = scenario.tandem
     dt = scenario.dt
@@ -400,7 +382,7 @@ def _run_tandem(scenario: Scenario, name: str, exact: bool, grid: _Grid) -> list
     departures = [c * 0 for c in arrivals]
     columns = [([], [], [], [], []) for _ in arrivals]  # per queue: lambda, F, G, f, g
     step = step_tandem  # looked up once per run, at run time, so a wrapper set on the module is seen
-    for delta, sigma in grid.rates():
+    for delta, sigma in rates:
         fluxes = step(spec, arrivals, departures, delta * dt, sigma * dt)
         for k, (q, f, g, f_in, f_out) in enumerate(columns):
             q.append(arrivals[k] - departures[k])
@@ -437,10 +419,10 @@ class ModelSpec(namedtuple("ModelSpec", "needs check run notes exact", defaults=
 
     ``needs`` names the Scenario fields the model cannot run without,
     ``check(scenario, name)`` raises when its admissibility bound is
-    violated (``unsafe`` skips it), and ``run(scenario, name, exact, grid)``
+    violated (``unsafe`` skips it), and ``run(scenario, name, exact, rates)``
     returns its trajectories: one for a point or link model, one per queue
-    for a tandem.  A runner iterates ``grid.rates()`` once, holding it only
-    in its loop, so every model of a call shares one ``_Grid``.
+    for a tandem.  ``rates`` is an iterator of the (delta, sigma) pairs at
+    the step starts, as floats, which the runner exhausts once, in its loop.
     ``notes(scenario, trajectories)``, when set, returns report lines
     computed from the recorded columns after the run.  ``exact`` marks the
     models that can run on ``Fraction`` arithmetic.
@@ -491,20 +473,25 @@ def simulate_model(scenario: Scenario, model_name: str | None = None, exact: boo
 
 
 def _run_models(scenario: Scenario, names: list[str], exact: bool = False) -> list[tuple[str, list[Trajectory]]]:
-    """Validate and run each named model on one grid, in order; (name, its trajectories) per model."""
+    """Check every named model, then run each in order on one sampling of the rates; (name, its trajectories) each."""
     names = [m.lower() for m in names]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValidationError(f"{scenario.source}: model {name!r} is named more than once (set by --models)")
-    grid = _Grid(scenario, len(names))
-    runs = []
     for name in names:
         validate_model(scenario, name)
         if exact and not MODELS[name].exact:
             raise ValidationError(
                 f"{scenario.source}: exact arithmetic is supported for the exact point models only (got {name!r})"
             )
-        runs.append((name, MODELS[name].run(scenario, name, exact, grid)))
+    n, dt = round(scenario.horizon / scenario.dt), scenario.dt
+    columns = [scenario.demand.rates_on_grid(n, dt), scenario.supply.rates_on_grid(n, dt)]
+    runs = []
+    for i, name in enumerate(names, 1):
+        rates = zip(*columns, strict=True)  # strict: it exhausts, and so frees, both lists; a plain zip stops at one
+        if i == len(names):
+            columns.clear()  # the last run's iterator owns the lists: they go when its loop ends
+        runs.append((name, MODELS[name].run(scenario, name, exact, rates)))
     return runs
 
 
@@ -529,7 +516,8 @@ def run_scenario(scenario: Scenario, models: list[str] | None = None, exact=Fals
     ``queueN`` for a tandem.  When more than one model is named, every
     pair of trajectories gets its sup distance.  A model's notes (a
     tandem's conservation residual) go into the report metadata.  The
-    models share one sampled grid; a model named twice raises.
+    models share one sampling of the rates; a model named twice or
+    failing its check raises before any model runs.
     """
     produced = _run_models(scenario, models or [scenario.model], exact)
     runs, metadata = [], {}
@@ -552,8 +540,9 @@ def convergence_table(scenario: Scenario, models: list[str], dt_list: list[float
     if len(models) < 2:
         got = ",".join(models)
         raise ValidationError(f"{scenario.source}: convergence compares at least two models (got --models {got!r})")
+    scenarios = [scenario.with_overrides(dt=dt) for dt in dt_list]  # every step size's grid checked before any run
     rows = []
-    for dt in dt_list:
-        runs = [t for _, trajectories in _run_models(scenario.with_overrides(dt=dt), models) for t in trajectories]
+    for dt, sized in zip(dt_list, scenarios):
+        runs = [t for _, trajectories in _run_models(sized, models) for t in trajectories]
         rows.append({"dt": dt, "max_distance": max(sup_distance(a, b) for a, b in combinations(runs, 2))})
     return rows

@@ -89,6 +89,10 @@ RECORDS = [
                 ("epsilon", 0.0, "epsilon must be positive and finite .*field 'epsilon' or --eps"),
                 ("epsilon", NAN, "epsilon must be positive and finite .*field 'epsilon' or --eps"),
                 ("epsilon", "0.1", "field 'epsilon' must be a finite number"),
+                # An int past the floats would overflow in the first float operation, naming no field.
+                ("dt", 10**400, r"dt must be positive and finite \(got 1000+\.\.\.0+; .*field 'dt' or --dt/--dt-list"),
+                ("horizon", 10**400, r"horizon must be positive and finite \(got 1000+\.\.\.0+; .*--horizon"),
+                ("epsilon", 10**400, r"epsilon must be positive and finite \(got 1000+\.\.\.0+; .*--eps"),
                 ("formulation", "B", "field 'formulation' must be a Formulation"),
                 ("unsafe", "no", "field 'unsafe' must be a bool"),
                 ("dt", 0.3, "horizon 1 hr is not a whole number of steps .*fields 'dt' and 'horizon'"),

@@ -6,9 +6,11 @@ lists to every model's runner.  These tests pin that the shared grid
 changes no trajectory, that each profile is sampled once per call and
 again by the next call, that a one-model run keeps its five columns and
 no rate list, and the rejections of model lists that repeat a name or
-leave nothing to compare.
+leave nothing to compare.  A call checks every model it names (and a
+convergence every step size's grid) before it samples or runs anything.
 """
 
+import math
 import sys
 import tracemalloc
 import weakref
@@ -162,3 +164,28 @@ def test_api_rejects_a_repeated_model_and_a_single_model_convergence():
         run_scenario(scenario, models=["pqm1", "eps-pqm1", "PQM1"])
     with pytest.raises(ValidationError, match="at least two models"):
         convergence_table(scenario, ["pqm1"], [0.001])
+
+
+def test_a_model_that_fails_its_check_stops_the_call_before_any_model_runs(sampled):
+    """The models named ahead of the failing one neither run nor sample the rates."""
+    scenario = load_scenario(RELAXED).with_overrides(horizon=0.2)
+    with pytest.raises(ValidationError, match="PQM3-D requires dt <= capacity/sigma_max"):
+        run_scenario(scenario.with_overrides(dt=0.2), models=["pqm1", "pqm3"])
+    with pytest.raises(ValidationError, match="exact arithmetic is supported for the exact point models only"):
+        run_scenario(scenario, models=["pqm1", "eps-pqm1"], exact=True)
+    assert sampled == []
+
+
+def test_compare_that_fails_a_bound_samples_and_writes_nothing(sampled, capsys, tmp_path):
+    out = tmp_path / "failfast"
+    argv = ["compare", "scenarios/sine_floor_single_queue.json", "--models", "pqm1,pqm3", "--dt", "0.2"]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "PQM3-D requires dt <=" in captured.err and captured.out == ""
+    assert sampled == [] and not out.exists()
+
+
+def test_convergence_checks_every_step_size_before_it_runs_any(sampled):
+    with pytest.raises(ValidationError, match=r"dt must be positive and finite \(got nan; .*--dt/--dt-list"):
+        convergence_table(load_scenario(LINK_SCENARIO), ["ltm", "lqm"], [0.01, math.nan])
+    assert sampled == []
